@@ -27,6 +27,11 @@ column is completed to a unitary. The fast path applies that block
 formula directly to the statevector; `run_segment` keeps the explicit
 ancilla register and is cross-checked against the fast path in tests.
 
+Both routes run the fast path on one engine, `_FastSegment`, which
+stacks the shifted Hamiltonian's select operators (one permutation per
+support term, or one Pauli flip mask per row) so that each application
+of H is one gather and one contraction; both plan with `_schedule`.
+
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
 round is charged the adjacent-SWAP word of its worst support
@@ -41,6 +46,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,6 +167,29 @@ def _min_taylor_order(x: float, budget: float) -> int:
     return k
 
 
+class _Schedule(NamedTuple):
+    M: int
+    delta_t: float
+    shifted_one_norm: float
+    shift: float
+    epsilon_tilde: float
+    K: int
+    pad: float
+
+
+def _schedule(one_norm: float, c_id: float, t: float, epsilon: float) -> _Schedule:
+    """M, dt, identity shift, K and pad for a sum with this 1-norm and real
+    identity coefficient c_id; both routes plan here."""
+    m_segments = max(1, math.ceil(t * one_norm / LN2))
+    target = m_segments * LN2 / t
+    epsilon_tilde = epsilon / (4 * m_segments)
+    taylor_k = _min_taylor_order(LN2, epsilon_tilde)
+    s_taylor = math.fsum(LN2**m / math.factorial(m) for m in range(taylor_k + 1))
+    shift = (target - (one_norm - abs(c_id))) - c_id
+    return _Schedule(m_segments, t / m_segments, target, shift, epsilon_tilde, taylor_k,
+                     2.0 - s_taylor)
+
+
 def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
     """Choose M, the identity shift, K, and the padding for (f, t, epsilon)."""
     if t <= 0.0:
@@ -170,50 +199,32 @@ def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
     if not f.is_hermitian():
         raise ValueError("element is not Hermitian")
 
-    one_norm = f.one_norm
-    m_segments = max(1, math.ceil(t * one_norm / LN2))
-    delta_t = t / m_segments
-    target = m_segments * LN2 / t
-    c_e = f.coefficient(identity(f.n)).real
-    shift = (target - (one_norm - abs(c_e))) - c_e
-    shifted = add(f, scale(delta(identity(f.n)), shift))
+    sched = _schedule(f.one_norm, f.coefficient(identity(f.n)).real, t, epsilon)
+    m_segments, taylor_k, target = sched.M, sched.K, sched.shifted_one_norm
+    shifted = add(f, scale(delta(identity(f.n)), sched.shift))
     # float roundoff aside, delta_t * target = ln 2 in every segment
-    assert abs(shifted.one_norm - target) < 1e-9 * max(1.0, target)
-
-    epsilon_tilde = epsilon / (4 * m_segments)
-    taylor_k = _min_taylor_order(LN2, epsilon_tilde)
-    s_taylor = math.fsum(LN2**m / math.factorial(m) for m in range(taylor_k + 1))
-    pad = 2.0 - s_taylor
+    if not abs(shifted.one_norm - target) < 1e-9 * max(1.0, target):
+        raise ValueError(f"shifted 1-norm {shifted.one_norm} differs from its target {target}")
 
     supp_size = shifted.term_count
-    term_count = sum(supp_size**m for m in range(taylor_k + 1))
-
-    words = [swap_network(p) for p in f.support() if not p.is_identity()]
-    w_max = max((len(w) for w in words), default=0)
+    w_max = max((len(swap_network(p)) for p in f.support() if not p.is_identity()), default=0)
     k_span = f.span
     k_loc = f.locality
-    actual = 3 * m_segments * taylor_k * w_max
     m_closed = math.ceil(t * f.max_coeff * k_loc * f.n**k_loc) if k_loc else 1
 
     return SimulationPlan(
         t=t,
         epsilon=epsilon,
-        M=m_segments,
-        delta_t=delta_t,
-        K=taylor_k,
         s=2.0,
-        epsilon_tilde=epsilon_tilde,
-        shift=shift,
-        shifted_one_norm=target,
-        pad=pad,
-        term_count=term_count,
+        **sched._asdict(),
+        term_count=sum(supp_size**m for m in range(taylor_k + 1)),
         k_span=k_span,
         k_locality=k_loc,
         w_max=w_max,
-        predicted_swap_gates=actual,
+        predicted_swap_gates=3 * m_segments * taylor_k * w_max,
         bound_k2mk=k_span * k_span * m_segments * taylor_k,
         closed_form_gates=closed_form_swap_gates(t, f.max_coeff, k_loc, f.n, epsilon),
-        closed_form_K=closed_form_taylor_order(epsilon_tilde),
+        closed_form_K=closed_form_taylor_order(sched.epsilon_tilde),
         M_closed_form=m_closed,
     )
 
@@ -372,34 +383,58 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
 
 
 class _FastSegment:
-    """Ancilla-free application of the segment block 3T - 4 T Tdag T."""
+    """Ancilla-free segment block 3T - 4 T Tdag T over stacked select rows,
+    H a = sum_q coefs[q] * phases[q] * a[gathers[q]] (phases all one when
+    None); `sched`, a SimulationPlan or _Schedule, gives M, dt, K, pad, shift."""
 
-    def __init__(self, shifted: AlgebraElement, d: int, delta_t: float, taylor_k: int, pad: float):
-        self.coefs = [c for _, c in shifted.terms]
-        self.gathers = [permutation_index_map(p, d) for p, _ in shifted.terms]
-        self.delta_t = delta_t
-        self.K = taylor_k
-        self.pad = pad
+    def __init__(self, gathers, coefs, phases, sched):
+        self.gathers = np.asarray(gathers, dtype=np.intp)
+        self.coefs = np.asarray(coefs, dtype=complex)
+        self.phases = phases
+        self.sched = sched
 
-    def _ham(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amps)
-        for c, g in zip(self.coefs, self.gathers):
-            out += c * amps[g]
-        return out
+    def _ham(self, amps: np.ndarray, factor: complex) -> np.ndarray:
+        """factor * H amps, the factor folded into the contraction."""
+        stack = amps[self.gathers]
+        if self.phases is not None:
+            stack *= self.phases
+        return (factor * self.coefs) @ stack
 
     def _t_apply(self, amps: np.ndarray, dagger: bool) -> np.ndarray:
-        rot = 1j * self.delta_t if dagger else -1j * self.delta_t
+        rot = 1j * self.sched.delta_t if dagger else -1j * self.sched.delta_t
         acc = amps.copy()
         term = amps
-        for m in range(1, self.K + 1):
-            term = (rot / m) * self._ham(term)
+        for m in range(1, self.sched.K + 1):
+            term = self._ham(term, rot / m)
             acc += term
-        return 0.5 * (acc + self.pad * amps)
+        return 0.5 * (acc + self.sched.pad * amps)
 
     def block_apply(self, amps: np.ndarray) -> np.ndarray:
         t1 = self._t_apply(amps, dagger=False)
         t3 = self._t_apply(self._t_apply(t1, dagger=True), dagger=False)
         return 3.0 * t1 - 4.0 * t3
+
+    def element(self, u_amps: np.ndarray, v_amps: np.ndarray, t: float) -> complex:
+        """<u| exp(-it H) |v>: M blocks on v, then the shift's global phase."""
+        amps = v_amps.astype(complex)
+        for _ in range(self.sched.M):
+            amps = self.block_apply(amps)
+        return cmath.exp(1j * t * self.sched.shift) * complex(np.vdot(u_amps, amps))
+
+
+def _check_request(u, v, f: AlgebraElement, t: float) -> tuple[Statevector, Statevector]:
+    """The statevectors behind u and v, once the request is valid for both routes."""
+    su: Statevector = getattr(u, "vector", u)
+    sv: Statevector = getattr(v, "vector", v)
+    if (su.d, su.n) != (sv.d, sv.n):
+        raise SizeMismatchError("u and v live on different spaces")
+    if f.n != su.n:
+        raise SizeMismatchError(f"element on S_{f.n} vs {su.n} qudits")
+    if not f.is_hermitian():
+        raise ValueError("element is not Hermitian")
+    if t < 0.0:
+        raise ValueError(f"need t >= 0, got {t}")
+    return su, sv
 
 
 def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
@@ -412,16 +447,7 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
     the ancilla circuit of `run_segment` instead (same block, kept for
     cross-validation, term count permitting).
     """
-    su: Statevector = getattr(u, "vector", u)
-    sv: Statevector = getattr(v, "vector", v)
-    if (su.d, su.n) != (sv.d, sv.n):
-        raise SizeMismatchError("u and v live on different spaces")
-    if f.n != su.n:
-        raise SizeMismatchError(f"element on S_{f.n} vs {su.n} qudits")
-    if not f.is_hermitian():
-        raise ValueError("element is not Hermitian")
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got {t}")
+    su, sv = _check_request(u, v, f, t)
     if t == 0.0:
         report = GateReport(0, 0, 0.0, 0, 0, f.span, f.locality, 0)
         return su.inner(sv), report
@@ -436,26 +462,21 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
         return su.inner(state), report
 
     shifted = add(f, scale(delta(identity(f.n)), pl.shift))
-    fast = _FastSegment(shifted, su.d, pl.delta_t, pl.K, pl.pad)
-    amps = sv.amplitudes.astype(complex)
-    for _ in range(pl.M):
-        amps = fast.block_apply(amps)
-    value = cmath.exp(1j * t * pl.shift) * complex(np.vdot(su.amplitudes, amps))
-    return value, report
+    fast = _FastSegment([permutation_index_map(p, su.d) for p, _ in shifted.terms],
+                        [c for _, c in shifted.terms], None, pl)
+    return fast.element(su.amplitudes, sv.amplitudes, t), report
 
 
 def gate_count_report(pl: SimulationPlan, f: AlgebraElement) -> GateReport:
     """SWAP accounting: 3 select-round sweeps per segment, each charged
-    the worst support word; bound is span^2 M K."""
-    w_max = max((len(swap_network(p)) for p in f.support() if not p.is_identity()), default=0)
-    actual = 3 * pl.M * pl.K * w_max
+    the worst support word (the plan's w_max); bound is span^2 M K."""
     return GateReport(
-        actual=actual,
+        actual=pl.predicted_swap_gates,
         bound_k2mk=f.span * f.span * pl.M * pl.K,
         closed_form=pl.closed_form_gates,
         M=pl.M,
         K=pl.K,
         k_span=f.span,
         k_locality=f.locality,
-        w_max=w_max,
+        w_max=pl.w_max,
     )

@@ -11,15 +11,16 @@ expansion's 1-norm is at most 2^(l-1). The exact per-cycle count
 is the binomial theorem for (3/2 + 1/2)^(k-1); `binomial_identity_check`
 verifies it in exact rational arithmetic.
 
-`matrix_element_pauli` reruns the segmented LCU pipeline with the Pauli
-sum in place of the permutation support: same identity shift, same
-Taylor order, same amplification block, but each select round now
-applies one k-local Pauli operator, so a run costs 3 M K of them.
+`matrix_element_pauli` reruns the segmented LCU pipeline on the Pauli
+sum with the planner and engine of `lcu` (`_schedule`, `_FastSegment`):
+each select round applies one k-local Pauli operator, so a run costs
+3 M K of them. The engine gets the strings grouped by X/Y flip mask:
+strings sharing a mask (XX and YY on a pair, I and ZZ) gather the same
+x ^ mask and fold into one row weighted by the sum of their c * phase.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeMismatchError
-from .lcu import LN2, GateReport, _min_taylor_order
+from .lcu import GateReport, _check_request, _FastSegment, _schedule
 from .permutation import Permutation, transposition_decomposition
 from .group_algebra import AlgebraElement
-from .quditsim import Statevector
 
 __all__ = [
     "PauliString",
@@ -281,34 +281,21 @@ def closed_form_pauli_gates(t: float, c_max: float, k: int, n: int, epsilon: flo
     return t * big_l * float(n) ** k * la / max(math.log(la), 1.0)
 
 
-class _FastPauli:
-    """Segment block 3T - 4 T Tdag T with Pauli-string select rounds."""
+def _flip_mask_groups(g: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Stack g by X/Y flip mask: (gathers, weights) of shape (Q, 2^n)
+    with g psi = sum_q weights[q] * psi[gathers[q]].
 
-    def __init__(self, g: PauliSum, delta_t: float, taylor_k: int, pad: float):
-        self.parts = [(c, *string_index_phase(ps)) for ps, c in g.terms]
-        self.delta_t = delta_t
-        self.K = taylor_k
-        self.pad = pad
-
-    def _ham(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amps)
-        for c, gather, phase in self.parts:
-            out += c * (phase * amps[gather])
-        return out
-
-    def _t_apply(self, amps: np.ndarray, dagger: bool) -> np.ndarray:
-        rot = 1j * self.delta_t if dagger else -1j * self.delta_t
-        acc = amps.copy()
-        term = amps
-        for m in range(1, self.K + 1):
-            term = (rot / m) * self._ham(term)
-            acc += term
-        return 0.5 * (acc + self.pad * amps)
-
-    def block_apply(self, amps: np.ndarray) -> np.ndarray:
-        t1 = self._t_apply(amps, dagger=False)
-        t3 = self._t_apply(self._t_apply(t1, dagger=True), dagger=False)
-        return 3.0 * t1 - 4.0 * t3
+    A string's gather is x ^ mask, so gather[0] is its mask; strings
+    sharing a mask (XX and YY on a pair, I and ZZ) sum their c * phase
+    into one row.
+    """
+    rows: dict[int, list] = {}
+    for ps, c in g.terms:
+        gather, phase = string_index_phase(ps)
+        row = rows.setdefault(int(gather[0]), [gather, 0j])
+        row[1] = row[1] + c * phase
+    return (np.array([gather for gather, _ in rows.values()]),
+            np.array([weight for _, weight in rows.values()]))
 
 
 def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
@@ -320,18 +307,9 @@ def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
     unitaries all live in the Pauli expansion; each select round costs
     one k-local Pauli operator, 3 M K per run.
     """
-    su: Statevector = getattr(u, "vector", u)
-    sv: Statevector = getattr(v, "vector", v)
-    if (su.d, su.n) != (sv.d, sv.n):
-        raise SizeMismatchError("u and v live on different spaces")
+    su, sv = _check_request(u, v, f, t)
     if su.d != 2:
         raise ValueError("Pauli route needs qubits (d = 2)")
-    if f.n != su.n:
-        raise SizeMismatchError(f"element on S_{f.n} vs {su.n} qubits")
-    if not f.is_hermitian():
-        raise ValueError("element is not Hermitian")
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got {t}")
 
     g = element_to_pauli(f)
     if not g.is_hermitian(tol=1e-9):
@@ -340,31 +318,19 @@ def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
         report = GateReport(0, 0, 0.0, 0, 0, f.span, f.locality, 0, unit="pauli")
         return su.inner(sv), report
 
-    one_norm = g.one_norm
-    m_segments = max(1, math.ceil(t * one_norm / LN2))
-    delta_t = t / m_segments
-    target = m_segments * LN2 / t
-    c_i = g.coefficient(pauli_identity(f.n)).real
-    shift = (target - (one_norm - abs(c_i))) - c_i
-    epsilon_tilde = epsilon / (4 * m_segments)
-    taylor_k = _min_taylor_order(LN2, epsilon_tilde)
-    s_taylor = math.fsum(LN2**m / math.factorial(m) for m in range(taylor_k + 1))
-    pad = 2.0 - s_taylor
+    sched = _schedule(g.one_norm, g.coefficient(pauli_identity(f.n)).real, t, epsilon)
+    shifted = add_sums(g, pauli_sum(f.n, {pauli_identity(f.n): sched.shift}))
+    gathers, weights = _flip_mask_groups(shifted)
+    fast = _FastSegment(gathers, np.ones(len(gathers)), weights, sched)
+    value = fast.element(su.amplitudes, sv.amplitudes, t)
 
-    shifted = add_sums(g, pauli_sum(f.n, {pauli_identity(f.n): shift}))
-    fast = _FastPauli(shifted, delta_t, taylor_k, pad)
-    amps = sv.amplitudes.astype(complex)
-    for _ in range(m_segments):
-        amps = fast.block_apply(amps)
-    value = cmath.exp(1j * t * shift) * complex(np.vdot(su.amplitudes, amps))
-
-    actual = 3 * m_segments * taylor_k
+    actual = 3 * sched.M * sched.K
     report = GateReport(
         actual=actual,
         bound_k2mk=actual,
         closed_form=closed_form_pauli_gates(t, f.max_coeff, f.locality, f.n, epsilon),
-        M=m_segments,
-        K=taylor_k,
+        M=sched.M,
+        K=sched.K,
         k_span=f.span,
         k_locality=f.locality,
         w_max=g.max_weight,

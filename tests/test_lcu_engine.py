@@ -1,0 +1,156 @@
+"""The stacked-select LCU engine against the per-term loop it replaced.
+
+The engine sums the select operators in BLAS order, so it is not
+bit-identical to a loop over terms; the tolerances below are fixed in
+advance: 1e-13 * ||f||_1 * max|a| for one Hamiltonian application and
+1e-12 for a whole matrix element between unit vectors.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from snsim import lcu
+from snsim.group_algebra import add, delta, random_hermitian_k_local, scale
+from snsim.lcu import LN2, matrix_element, plan
+from snsim.pauli_expand import (
+    _flip_mask_groups,
+    element_to_pauli,
+    matrix_element_pauli,
+    pauli_identity,
+    string_index_phase,
+    sum_dense,
+)
+from snsim.permutation import identity
+from snsim.quditsim import Statevector, permutation_index_map
+
+
+class LoopSegment:
+    """Segment block 3T - 4 T Tdag T with H a = sum_j c_j (phase_j * a[g_j])
+    accumulated one term at a time."""
+
+    def __init__(self, parts, delta_t, taylor_k, pad):
+        self.parts, self.delta_t, self.K, self.pad = parts, delta_t, taylor_k, pad
+
+    def ham(self, amps):
+        out = np.zeros_like(amps)
+        for c, gather, phase in self.parts:
+            out += c * (phase * amps[gather])
+        return out
+
+    def t_apply(self, amps, dagger):
+        rot = 1j * self.delta_t if dagger else -1j * self.delta_t
+        acc = amps.copy()
+        term = amps
+        for m in range(1, self.K + 1):
+            term = (rot / m) * self.ham(term)
+            acc += term
+        return 0.5 * (acc + self.pad * amps)
+
+    def element(self, u, v, segments, t, shift):
+        amps = v.astype(complex)
+        for _ in range(segments):
+            t1 = self.t_apply(amps, dagger=False)
+            amps = 3.0 * t1 - 4.0 * self.t_apply(self.t_apply(t1, dagger=True), dagger=False)
+        return cmath.exp(1j * t * shift) * complex(np.vdot(u, amps))
+
+
+def random_unit(rng, d, n):
+    amps = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    return amps / np.linalg.norm(amps)
+
+
+def swap_stack(f, d):
+    return (np.array([permutation_index_map(p, d) for p, _ in f.terms]),
+            np.array([c for _, c in f.terms]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_swap_ham_matches_term_loop(d):
+    n = 6
+    f = random_hermitian_k_local(n, 3, 5, seed=21 + d)
+    gathers, coefs = swap_stack(f, d)
+    engine = lcu._FastSegment(gathers, coefs, None, plan(f, 1.0, 1e-6))
+    a = random_unit(np.random.default_rng(d), d, n)
+    expect = np.zeros_like(a)
+    for (_, c), g in zip(f.terms, gathers):
+        expect += c * a[g]
+    got = engine._ham(a, 1.0)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * f.one_norm * np.max(np.abs(a))
+
+
+def test_flip_mask_groups_match_dense_pauli_sum():
+    n = 6
+    f = random_hermitian_k_local(n, 3, 5, seed=5)
+    g = element_to_pauli(f)
+    gathers, weights = _flip_mask_groups(g)
+    assert len(gathers) <= g.term_count
+    a = random_unit(np.random.default_rng(4), 2, n)
+    got = lcu._FastSegment(gathers, np.ones(len(gathers)), weights, None)._ham(a, 1.0)
+    expect = sum_dense(g) @ a
+    assert np.max(np.abs(got - expect)) <= 1e-13 * g.one_norm * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_swap_route_matches_loop_kernel(d):
+    n, t, eps = 6, 1.3, 1e-6
+    f = random_hermitian_k_local(n, 3, 5, seed=8 + d)
+    rng = np.random.default_rng(10 + d)
+    u, v = random_unit(rng, d, n), random_unit(rng, d, n)
+    got, _ = matrix_element(Statevector(d, n, u), Statevector(d, n, v), f, t, eps)
+
+    pl = plan(f, t, eps)
+    shifted = add(f, scale(delta(identity(n)), pl.shift))
+    parts = [(c, permutation_index_map(p, d), 1.0) for p, c in shifted.terms]
+    expect = LoopSegment(parts, pl.delta_t, pl.K, pl.pad).element(u, v, pl.M, t, pl.shift)
+    assert abs(got - expect) <= 1e-12
+
+
+def test_pauli_route_matches_loop_kernel():
+    n, t, eps = 6, 1.3, 1e-6
+    f = random_hermitian_k_local(n, 3, 5, seed=13)
+    rng = np.random.default_rng(14)
+    u, v = random_unit(rng, 2, n), random_unit(rng, 2, n)
+    got, report = matrix_element_pauli(Statevector(2, n, u), Statevector(2, n, v), f, t, eps)
+
+    # the Pauli route's planning, written out on the expansion's 1-norm
+    g = element_to_pauli(f)
+    one_norm = g.one_norm
+    segments = max(1, math.ceil(t * one_norm / LN2))
+    target = segments * LN2 / t
+    c_i = g.coefficient(pauli_identity(n)).real
+    shift = (target - (one_norm - abs(c_i))) - c_i
+    taylor_k = report.K
+    pad = 2.0 - math.fsum(LN2**m / math.factorial(m) for m in range(taylor_k + 1))
+    assert segments == report.M
+    assert LN2**taylor_k / math.factorial(taylor_k) <= eps / (4 * segments)
+
+    parts = [(c, *string_index_phase(ps)) for ps, c in g.terms]
+    parts.append((shift, np.arange(2**n), 1.0))
+    expect = LoopSegment(parts, t / segments, taylor_k, pad).element(u, v, segments, t, shift)
+    assert abs(got - expect) <= 1e-12
+
+
+def test_engine_applies_h_3mk_times(monkeypatch):
+    calls = []
+    original = lcu._FastSegment._ham
+
+    def counting(self, amps, factor):
+        calls.append(factor)
+        return original(self, amps, factor)
+
+    monkeypatch.setattr(lcu._FastSegment, "_ham", counting)
+    n = 5
+    f = random_hermitian_k_local(n, 3, 4, seed=17)
+    rng = np.random.default_rng(18)
+    u, v = Statevector(2, n, random_unit(rng, 2, n)), Statevector(2, n, random_unit(rng, 2, n))
+
+    _, report = matrix_element(u, v, f, 2.0, 1e-6)
+    assert len(calls) == 3 * report.M * report.K
+    assert report.actual == len(calls) * report.w_max
+
+    calls.clear()
+    _, report = matrix_element_pauli(u, v, f, 2.0, 1e-6)
+    assert len(calls) == 3 * report.M * report.K == report.actual
