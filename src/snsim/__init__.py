@@ -7,164 +7,9 @@ checked: an exact dense oracle, a segmented truncated-Taylor LCU over
 permutation (SWAP-compiled) unitaries, and the same LCU over the Pauli
 expansion on qubits. A classical S_n Fourier baseline (naive and fast,
 with exact operation counters) quantifies the factorial-versus
-polynomial cost contrast.
+polynomial cost contrast. Import from the submodules, e.g.
+`from snsim.lcu import matrix_element`; the package root re-exports
+nothing.
 """
 
-from .errors import (
-    DEFAULT_DENSE_CAP,
-    DEFAULT_FACTORIAL_CAP,
-    DEFAULT_TERM_CAP,
-    ResourceLimitError,
-    SizeMismatchError,
-)
-from .permutation import (
-    Permutation,
-    adjacent_word,
-    count_k_local,
-    derangement_count,
-    enumerate_sn,
-    format_cycles,
-    format_one_line,
-    from_adjacent_word,
-    from_cycles,
-    identity,
-    parse_permutation,
-    transposition,
-    transposition_decomposition,
-)
-from .young import (
-    Partition,
-    StandardTableau,
-    branching_down,
-    enumerate_partitions,
-    enumerate_standard_tableaux,
-    hook_length_dimension,
-    hook_lengths,
-    parse_partition,
-    schur_weyl_dimension_check,
-    weyl_dimension,
-)
-from .yor import character, yor, yor_generator
-from .group_algebra import (
-    AlgebraElement,
-    FourierCoefficients,
-    algebra_element,
-    convolve,
-    delta,
-    dense_table,
-    element_from_json_dict,
-    element_to_json_dict,
-    fourier_fft,
-    fourier_inverse,
-    fourier_naive,
-    pi_tilde_dense,
-    random_hermitian_k_local,
-)
-from .quditsim import (
-    Statevector,
-    YoungBasisVector,
-    apply_permutation,
-    basis_state,
-    exact_matrix_element,
-    permutation_index_map,
-    permutation_matrix,
-    swap_network,
-    young_basis,
-)
-from .lcu import (
-    GateReport,
-    LcuSegment,
-    LcuTerm,
-    SimulationPlan,
-    build_segment,
-    gate_count_report,
-    matrix_element,
-    plan,
-    run_segment,
-    taylor_segment_operator,
-)
-from .pauli_expand import (
-    PauliString,
-    PauliSum,
-    binomial_identity_check,
-    element_to_pauli,
-    matrix_element_pauli,
-    permutation_to_pauli,
-    transposition_to_pauli,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_DENSE_CAP",
-    "DEFAULT_FACTORIAL_CAP",
-    "DEFAULT_TERM_CAP",
-    "ResourceLimitError",
-    "SizeMismatchError",
-    "Permutation",
-    "adjacent_word",
-    "count_k_local",
-    "derangement_count",
-    "enumerate_sn",
-    "format_cycles",
-    "format_one_line",
-    "from_adjacent_word",
-    "from_cycles",
-    "identity",
-    "parse_permutation",
-    "transposition",
-    "transposition_decomposition",
-    "Partition",
-    "StandardTableau",
-    "branching_down",
-    "enumerate_partitions",
-    "enumerate_standard_tableaux",
-    "hook_length_dimension",
-    "hook_lengths",
-    "parse_partition",
-    "schur_weyl_dimension_check",
-    "weyl_dimension",
-    "character",
-    "yor",
-    "yor_generator",
-    "AlgebraElement",
-    "FourierCoefficients",
-    "algebra_element",
-    "convolve",
-    "delta",
-    "dense_table",
-    "element_from_json_dict",
-    "element_to_json_dict",
-    "fourier_fft",
-    "fourier_inverse",
-    "fourier_naive",
-    "pi_tilde_dense",
-    "random_hermitian_k_local",
-    "Statevector",
-    "YoungBasisVector",
-    "apply_permutation",
-    "basis_state",
-    "exact_matrix_element",
-    "permutation_index_map",
-    "permutation_matrix",
-    "swap_network",
-    "young_basis",
-    "GateReport",
-    "LcuSegment",
-    "LcuTerm",
-    "SimulationPlan",
-    "build_segment",
-    "gate_count_report",
-    "matrix_element",
-    "plan",
-    "run_segment",
-    "taylor_segment_operator",
-    "PauliString",
-    "PauliSum",
-    "binomial_identity_check",
-    "element_to_pauli",
-    "matrix_element_pauli",
-    "permutation_to_pauli",
-    "transposition_to_pauli",
-    "__version__",
-]

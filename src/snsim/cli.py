@@ -316,13 +316,13 @@ def cmd_bench(args) -> int:
         coeffs = fourier_fft(values, n, cap=args.cap_factorial)
         wall = time.perf_counter() - start
         element = _bench_element(n, args.k)
-        pl = lcu.plan(element, args.t, args.eps)
+        report = lcu.gate_count_report(lcu.plan(element, args.t, args.eps), element)
         rows.append({
             "n": n,
             "classical_fft_ops": coeffs.ops,
             "classical_wall_time": wall,
-            "lcu_swap_gates": pl.predicted_swap_gates,
-            "closed_form_estimate": pl.closed_form_gates,
+            "lcu_swap_gates": report.actual,
+            "closed_form_estimate": report.closed_form,
         })
     if args.format == "json":
         _emit(args, _json_text({"schema_version": SCHEMA_VERSION, "rows": rows}))

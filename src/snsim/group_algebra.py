@@ -37,7 +37,7 @@ from .permutation import (
     format_cycles,
 )
 from .young import Partition, enumerate_partitions, branching_down
-from .yor import apply_generator as _apply_generator, dimension as _yor_dimension
+from .yor import _word_matrix, apply_generator as _apply_generator, dimension as _yor_dimension
 from .quditsim import permutation_index_map
 
 __all__ = [
@@ -208,10 +208,7 @@ def fourier_naive(f: AlgebraElement, cap: int = DEFAULT_FACTORIAL_CAP) -> Fourie
     for p, c in f.terms:
         word = adjacent_word(p)
         for s in shapes:
-            mat = np.eye(_yor_dimension(s))
-            for k in reversed(word):
-                mat = _apply_generator(s, k, mat)
-            blocks[s] += c * mat
+            blocks[s] += c * _word_matrix(s, word)
             ops += (2 * len(word) + 1) * _yor_dimension(s) ** 2
     return FourierCoefficients(f.n, blocks, ops)
 
@@ -284,10 +281,7 @@ def fourier_inverse(coeffs: FourierCoefficients, cap: int = DEFAULT_FACTORIAL_CA
         word = adjacent_word(p.inverse())
         total = 0j
         for s in shapes:
-            mat = np.eye(_yor_dimension(s))
-            for k in reversed(word):
-                mat = _apply_generator(s, k, mat)
-            total += _yor_dimension(s) * np.trace(coeffs.blocks[s] @ mat)
+            total += _yor_dimension(s) * np.trace(coeffs.blocks[s] @ _word_matrix(s, word))
         out[j] = total
     return out / len(perms)
 

@@ -30,7 +30,8 @@ ancilla register and is cross-checked against the fast path in tests.
 Both routes run the fast path on one engine, `_FastSegment`, which
 stacks the shifted Hamiltonian's select operators (one permutation per
 support term, or one Pauli flip mask per row) so that each application
-of H is one gather and one contraction; both plan with `_schedule`.
+of H is one gather and one contraction; both plan with `_schedule`, whose
+`SimulationPlan` is the one record of a run's schedule.
 
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
@@ -46,7 +47,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .errors import (
 )
 from .permutation import Permutation, identity
 from .group_algebra import AlgebraElement, add, delta, pi_tilde_dense, scale
-from .quditsim import Statevector, permutation_index_map, swap_network
+from .quditsim import Statevector, check_request, permutation_index_map, swap_network
 
 __all__ = [
     "SimulationPlan",
@@ -66,6 +66,7 @@ __all__ = [
     "LcuSegment",
     "GateReport",
     "plan",
+    "closed_form_segments",
     "closed_form_swap_gates",
     "closed_form_taylor_order",
     "taylor_segment_operator",
@@ -81,11 +82,12 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Hyperparameters of one simulation run.
+    """Schedule of one simulation run, the same for both routes.
 
     epsilon_tilde = epsilon/(4M) is the truncation budget per segment;
     the allowed block deviation per segment is 4*epsilon_tilde =
     epsilon/M, so the M segments compose to the requested accuracy.
+    The gate counts derived from it are in `gate_count_report`.
     """
 
     t: float
@@ -93,20 +95,11 @@ class SimulationPlan:
     M: int
     delta_t: float
     K: int
-    s: float
     epsilon_tilde: float
     shift: float
     shifted_one_norm: float
     pad: float
-    term_count: int
-    k_span: int
-    k_locality: int
-    w_max: int
-    predicted_swap_gates: int
-    bound_k2mk: int
-    closed_form_gates: float
     closed_form_K: int
-    M_closed_form: int
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,6 @@ class LcuSegment:
     delta_t: float
     K: int
     terms: tuple[LcuTerm, ...]
-    s: float
     shift: float
     phase_correction: complex
 
@@ -149,6 +141,11 @@ def closed_form_taylor_order(epsilon_tilde: float) -> int:
     return math.ceil(big_l / max(math.log(big_l), 1.0))
 
 
+def closed_form_segments(t: float, c_max: float, k: int, n: int) -> int:
+    """ceil(t C k n^k), the a-priori segment count (1 for k = 0)."""
+    return math.ceil(t * c_max * k * n**k) if k else 1
+
+
 def closed_form_swap_gates(t: float, c_max: float, k: int, n: int, epsilon: float) -> float:
     """t C k^3 n^k log(t C k n^k / eps) / loglog(...), the a-priori SWAP count."""
     if c_max == 0.0 or k == 0:
@@ -167,66 +164,43 @@ def _min_taylor_order(x: float, budget: float) -> int:
     return k
 
 
-class _Schedule(NamedTuple):
-    M: int
-    delta_t: float
-    shifted_one_norm: float
-    shift: float
-    epsilon_tilde: float
-    K: int
-    pad: float
-
-
-def _schedule(one_norm: float, c_id: float, t: float, epsilon: float) -> _Schedule:
+def _schedule(one_norm: float, c_id: float, t: float, epsilon: float) -> SimulationPlan:
     """M, dt, identity shift, K and pad for a sum with this 1-norm and real
     identity coefficient c_id; both routes plan here."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"need finite t > 0, got {t}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"need 0 < epsilon < 1, got {epsilon}")
     m_segments = max(1, math.ceil(t * one_norm / LN2))
     target = m_segments * LN2 / t
     epsilon_tilde = epsilon / (4 * m_segments)
     taylor_k = _min_taylor_order(LN2, epsilon_tilde)
     s_taylor = math.fsum(LN2**m / math.factorial(m) for m in range(taylor_k + 1))
-    shift = (target - (one_norm - abs(c_id))) - c_id
-    return _Schedule(m_segments, t / m_segments, target, shift, epsilon_tilde, taylor_k,
-                     2.0 - s_taylor)
+    return SimulationPlan(
+        t=t,
+        epsilon=epsilon,
+        M=m_segments,
+        delta_t=t / m_segments,
+        K=taylor_k,
+        epsilon_tilde=epsilon_tilde,
+        shift=(target - (one_norm - abs(c_id))) - c_id,
+        shifted_one_norm=target,
+        pad=2.0 - s_taylor,
+        closed_form_K=closed_form_taylor_order(epsilon_tilde),
+    )
 
 
 def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
     """Choose M, the identity shift, K, and the padding for (f, t, epsilon)."""
-    if t <= 0.0:
-        raise ValueError(f"need t > 0, got {t}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"need 0 < epsilon < 1, got {epsilon}")
     if not f.is_hermitian():
         raise ValueError("element is not Hermitian")
-
-    sched = _schedule(f.one_norm, f.coefficient(identity(f.n)).real, t, epsilon)
-    m_segments, taylor_k, target = sched.M, sched.K, sched.shifted_one_norm
-    shifted = add(f, scale(delta(identity(f.n)), sched.shift))
+    pl = _schedule(f.one_norm, f.coefficient(identity(f.n)).real, t, epsilon)
+    shifted = add(f, scale(delta(identity(f.n)), pl.shift))
     # float roundoff aside, delta_t * target = ln 2 in every segment
-    if not abs(shifted.one_norm - target) < 1e-9 * max(1.0, target):
-        raise ValueError(f"shifted 1-norm {shifted.one_norm} differs from its target {target}")
-
-    supp_size = shifted.term_count
-    w_max = max((len(swap_network(p)) for p in f.support() if not p.is_identity()), default=0)
-    k_span = f.span
-    k_loc = f.locality
-    m_closed = math.ceil(t * f.max_coeff * k_loc * f.n**k_loc) if k_loc else 1
-
-    return SimulationPlan(
-        t=t,
-        epsilon=epsilon,
-        s=2.0,
-        **sched._asdict(),
-        term_count=sum(supp_size**m for m in range(taylor_k + 1)),
-        k_span=k_span,
-        k_locality=k_loc,
-        w_max=w_max,
-        predicted_swap_gates=3 * m_segments * taylor_k * w_max,
-        bound_k2mk=k_span * k_span * m_segments * taylor_k,
-        closed_form_gates=closed_form_swap_gates(t, f.max_coeff, k_loc, f.n, epsilon),
-        closed_form_K=closed_form_taylor_order(sched.epsilon_tilde),
-        M_closed_form=m_closed,
-    )
+    if not abs(shifted.one_norm - pl.shifted_one_norm) < 1e-9 * max(1.0, pl.shifted_one_norm):
+        raise ValueError(
+            f"shifted 1-norm {shifted.one_norm} differs from its target {pl.shifted_one_norm}")
+    return pl
 
 
 def taylor_segment_operator(f: AlgebraElement, d: int, delta_t: float, taylor_k: int,
@@ -297,7 +271,6 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         delta_t=delta_t,
         K=taylor_k,
         terms=terms,
-        s=2.0,
         shift=shift,
         phase_correction=cmath.exp(1j * delta_t * shift),
     )
@@ -325,7 +298,7 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     terms = seg.terms
     anc = 1 << max(0, (len(terms) - 1).bit_length())
     column = np.zeros(anc)
-    column[: len(terms)] = np.sqrt(np.array([term.beta for term in terms]) / seg.s)
+    column[: len(terms)] = np.sqrt(np.array([term.beta for term in terms]) / 2.0)
     column /= np.linalg.norm(column)
     house = column.copy()
     house[0] -= 1.0
@@ -385,7 +358,7 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
 class _FastSegment:
     """Ancilla-free segment block 3T - 4 T Tdag T over stacked select rows,
     H a = sum_q coefs[q] * phases[q] * a[gathers[q]] (phases all one when
-    None); `sched`, a SimulationPlan or _Schedule, gives M, dt, K, pad, shift."""
+    None); `sched`, the run's SimulationPlan, gives M, dt, K, pad, shift."""
 
     def __init__(self, gathers, coefs, phases, sched):
         self.gathers = np.asarray(gathers, dtype=np.intp)
@@ -414,27 +387,12 @@ class _FastSegment:
         t3 = self._t_apply(self._t_apply(t1, dagger=True), dagger=False)
         return 3.0 * t1 - 4.0 * t3
 
-    def element(self, u_amps: np.ndarray, v_amps: np.ndarray, t: float) -> complex:
+    def element(self, u_amps: np.ndarray, v_amps: np.ndarray) -> complex:
         """<u| exp(-it H) |v>: M blocks on v, then the shift's global phase."""
         amps = v_amps.astype(complex)
         for _ in range(self.sched.M):
             amps = self.block_apply(amps)
-        return cmath.exp(1j * t * self.sched.shift) * complex(np.vdot(u_amps, amps))
-
-
-def _check_request(u, v, f: AlgebraElement, t: float) -> tuple[Statevector, Statevector]:
-    """The statevectors behind u and v, once the request is valid for both routes."""
-    su: Statevector = getattr(u, "vector", u)
-    sv: Statevector = getattr(v, "vector", v)
-    if (su.d, su.n) != (sv.d, sv.n):
-        raise SizeMismatchError("u and v live on different spaces")
-    if f.n != su.n:
-        raise SizeMismatchError(f"element on S_{f.n} vs {su.n} qudits")
-    if not f.is_hermitian():
-        raise ValueError("element is not Hermitian")
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got {t}")
-    return su, sv
+        return cmath.exp(1j * self.sched.t * self.sched.shift) * complex(np.vdot(u_amps, amps))
 
 
 def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
@@ -447,7 +405,7 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
     the ancilla circuit of `run_segment` instead (same block, kept for
     cross-validation, term count permitting).
     """
-    su, sv = _check_request(u, v, f, t)
+    su, sv = check_request(u, v, f)
     if t == 0.0:
         report = GateReport(0, 0, 0.0, 0, 0, f.span, f.locality, 0)
         return su.inner(sv), report
@@ -464,19 +422,20 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
     shifted = add(f, scale(delta(identity(f.n)), pl.shift))
     fast = _FastSegment([permutation_index_map(p, su.d) for p, _ in shifted.terms],
                         [c for _, c in shifted.terms], None, pl)
-    return fast.element(su.amplitudes, sv.amplitudes, t), report
+    return fast.element(su.amplitudes, sv.amplitudes), report
 
 
 def gate_count_report(pl: SimulationPlan, f: AlgebraElement) -> GateReport:
     """SWAP accounting: 3 select-round sweeps per segment, each charged
-    the worst support word (the plan's w_max); bound is span^2 M K."""
+    the worst support word w_max; bound is span^2 M K."""
+    w_max = max((len(swap_network(p)) for p in f.support() if not p.is_identity()), default=0)
     return GateReport(
-        actual=pl.predicted_swap_gates,
+        actual=3 * pl.M * pl.K * w_max,
         bound_k2mk=f.span * f.span * pl.M * pl.K,
-        closed_form=pl.closed_form_gates,
+        closed_form=closed_form_swap_gates(pl.t, f.max_coeff, f.locality, f.n, pl.epsilon),
         M=pl.M,
         K=pl.K,
         k_span=f.span,
         k_locality=f.locality,
-        w_max=pl.w_max,
+        w_max=w_max,
     )

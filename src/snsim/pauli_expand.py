@@ -28,9 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeMismatchError
-from .lcu import GateReport, _check_request, _FastSegment, _schedule
+from .lcu import GateReport, _FastSegment, _schedule
 from .permutation import Permutation, transposition_decomposition
 from .group_algebra import AlgebraElement
+from .quditsim import check_request
 
 __all__ = [
     "PauliString",
@@ -307,7 +308,7 @@ def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
     unitaries all live in the Pauli expansion; each select round costs
     one k-local Pauli operator, 3 M K per run.
     """
-    su, sv = _check_request(u, v, f, t)
+    su, sv = check_request(u, v, f)
     if su.d != 2:
         raise ValueError("Pauli route needs qubits (d = 2)")
 
@@ -318,19 +319,19 @@ def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
         report = GateReport(0, 0, 0.0, 0, 0, f.span, f.locality, 0, unit="pauli")
         return su.inner(sv), report
 
-    sched = _schedule(g.one_norm, g.coefficient(pauli_identity(f.n)).real, t, epsilon)
-    shifted = add_sums(g, pauli_sum(f.n, {pauli_identity(f.n): sched.shift}))
+    pl = _schedule(g.one_norm, g.coefficient(pauli_identity(f.n)).real, t, epsilon)
+    shifted = add_sums(g, pauli_sum(f.n, {pauli_identity(f.n): pl.shift}))
     gathers, weights = _flip_mask_groups(shifted)
-    fast = _FastSegment(gathers, np.ones(len(gathers)), weights, sched)
-    value = fast.element(su.amplitudes, sv.amplitudes, t)
+    fast = _FastSegment(gathers, np.ones(len(gathers)), weights, pl)
+    value = fast.element(su.amplitudes, sv.amplitudes)
 
-    actual = 3 * sched.M * sched.K
+    actual = 3 * pl.M * pl.K
     report = GateReport(
         actual=actual,
         bound_k2mk=actual,
         closed_form=closed_form_pauli_gates(t, f.max_coeff, f.locality, f.n, epsilon),
-        M=sched.M,
-        K=sched.K,
+        M=pl.M,
+        K=pl.K,
         k_span=f.span,
         k_locality=f.locality,
         w_max=g.max_weight,

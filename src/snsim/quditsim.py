@@ -46,6 +46,7 @@ __all__ = [
     "replay_swap_network",
     "apply_local_unitary_everywhere",
     "young_basis",
+    "check_request",
     "exact_matrix_element",
 ]
 
@@ -102,15 +103,11 @@ def basis_state(d: int, n: int, digits) -> Statevector:
     return Statevector(d, n, amps)
 
 
-def _digit_table(d: int, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _digit_table_cached(d: int, n: int) -> np.ndarray:
     """digits[i, q-1] = q-th digit (qudit q) of basis index i."""
     idx = np.arange(d**n)
     return np.stack([(idx // d ** (n - q)) % d for q in range(1, n + 1)], axis=1)
-
-
-@functools.lru_cache(maxsize=None)
-def _digit_table_cached(d: int, n: int) -> np.ndarray:
-    return _digit_table(d, n)
 
 
 def permutation_index_map(p: Permutation, d: int) -> np.ndarray:
@@ -357,6 +354,21 @@ def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasi
     return tuple(out)
 
 
+def check_request(u, v, f: "AlgebraElement") -> tuple[Statevector, Statevector]:
+    """The statevectors behind u and v (YoungBasisVector or Statevector
+    values), once a matrix-element request for f on them is valid; every
+    route, the oracle included, checks here."""
+    su: Statevector = getattr(u, "vector", u)
+    sv: Statevector = getattr(v, "vector", v)
+    if (su.d, su.n) != (sv.d, sv.n):
+        raise SizeMismatchError("u and v live on different spaces")
+    if f.n != su.n:
+        raise SizeMismatchError(f"element on S_{f.n} vs {su.n} qudits")
+    if not f.is_hermitian():
+        raise ValueError("element is not Hermitian")
+    return su, sv
+
+
 def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
                          cap: int = DEFAULT_DENSE_CAP) -> complex:
     """<u| exp(-it pi~(f)) |v> by dense Hermitian eigendecomposition.
@@ -365,14 +377,7 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
     """
     from .group_algebra import pi_tilde_dense  # deferred: two-way module pair
 
-    su = getattr(u, "vector", u)
-    sv = getattr(v, "vector", v)
-    if (su.d, su.n) != (sv.d, sv.n):
-        raise SizeMismatchError("u and v live on different spaces")
-    if f.n != su.n:
-        raise SizeMismatchError(f"element on S_{f.n} vs {su.n} qudits")
-    if not f.is_hermitian():
-        raise ValueError("element is not Hermitian")
+    su, sv = check_request(u, v, f)
     ham = pi_tilde_dense(f, su.d, cap=cap)
     evals, evecs = np.linalg.eigh(ham)
     a = evecs.conj().T @ sv.amplitudes

@@ -82,18 +82,21 @@ def yor_generator(shape: Partition, k: int) -> np.ndarray:
     return apply_generator(shape, k, np.eye(dimension(shape)))
 
 
-def yor(shape: Partition, p: Permutation) -> np.ndarray:
-    """Dense orthogonal matrix of an arbitrary permutation.
-
-    Evaluated through the adjacent word of p, rightmost factor applied
-    first; cost is 2*dim^2 multiplies per letter.
-    """
-    if p.n != shape.n:
-        raise SizeMismatchError(f"permutation on {p.n} points vs shape of {shape.n}")
+def _word_matrix(shape: Partition, word) -> np.ndarray:
+    """Dense matrix of the adjacent-transposition word, rightmost letter
+    applied first; cost is 2*dim^2 multiplies per letter."""
     mat = np.eye(dimension(shape))
-    for k in reversed(adjacent_word(p)):
+    for k in reversed(word):
         mat = apply_generator(shape, k, mat)
     return mat
+
+
+def yor(shape: Partition, p: Permutation) -> np.ndarray:
+    """Dense orthogonal matrix of an arbitrary permutation, evaluated
+    through its adjacent word."""
+    if p.n != shape.n:
+        raise SizeMismatchError(f"permutation on {p.n} points vs shape of {shape.n}")
+    return _word_matrix(shape, adjacent_word(p))
 
 
 def character(shape: Partition, p: Permutation) -> float:

@@ -147,6 +147,12 @@ def test_matelem_bad_label_is_usage_error(f_path):
     assert main(["matelem", "--f", f_path, "--u", "9+1:0:0", "--v", "3+1:0:0", "--t", "1.0"]) == 2
 
 
+def test_matelem_bad_eps_is_usage_error(f_path, deadline):
+    deadline(10)
+    assert main(["matelem", "--f", f_path, "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1.0",
+                 "--eps=-1e-3", "--method", "lcu-pauli"]) == 2
+
+
 def test_bench_csv_shape_and_determinism(tmp_path):
     argv = ["bench", "--n-range", "4:5", "--seed", "7"]
     code, text = run_to_file(tmp_path, argv, "b1.csv")

@@ -18,6 +18,7 @@ from snsim.group_algebra import (
 from snsim.lcu import (
     LN2,
     build_segment,
+    closed_form_segments,
     closed_form_swap_gates,
     closed_form_taylor_order,
     gate_count_report,
@@ -27,6 +28,7 @@ from snsim.lcu import (
     segment_dense,
     taylor_segment_operator,
 )
+from snsim.pauli_expand import matrix_element_pauli
 from snsim.permutation import identity, parse_permutation, transposition
 from snsim.quditsim import Statevector, basis_state, exact_matrix_element, young_basis
 
@@ -66,7 +68,6 @@ def test_plan_invariants():
         # the identity shift retunes the segment 1-norm to exactly ln 2 / dt
         assert abs(pl.delta_t * pl.shifted_one_norm - LN2) < 1e-12
         assert pl.epsilon_tilde == eps / (4 * pl.M)
-        assert pl.s == 2.0
         # K is the least order putting the ln2-tail under budget
         tail = LN2 ** (pl.K + 1) / math.factorial(pl.K + 1) * 2.0
         assert LN2**pl.K / math.factorial(pl.K) <= pl.epsilon_tilde
@@ -77,7 +78,7 @@ def test_plan_invariants():
         partial = math.fsum(LN2**m / math.factorial(m) for m in range(pl.K + 1))
         assert abs(pl.pad - (2.0 - partial)) < 1e-12
         assert 0.0 <= pl.pad < 1.0
-        assert pl.M_closed_form >= pl.M
+        assert closed_form_segments(t, f.max_coeff, f.locality, f.n) >= pl.M
         assert pl.closed_form_K == closed_form_taylor_order(pl.epsilon_tilde)
 
 
@@ -129,7 +130,6 @@ def test_segment_reconstruction_and_norm():
     d = 2
     pl = plan(f, 1.0, 1e-3)
     seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift)
-    assert seg.s == 2.0
     assert all(term.beta > 0.0 for term in seg.terms)
     assert abs(math.fsum(term.beta for term in seg.terms) - 2.0) < 1e-12
     shifted = add(f, scale(delta(identity(f.n)), pl.shift))
@@ -270,3 +270,15 @@ def test_matrix_element_rejections():
     skew = algebra_element(4, {parse_permutation("(1 2 3)", n=4): 1.0})
     with pytest.raises(ValueError):
         matrix_element(a, a, skew, 1.0, 1e-3)
+
+
+def test_both_routes_reject_bad_t_and_epsilon(deadline):
+    # a negative truncation budget used to loop forever in the Pauli route
+    f = heisenberg_like(4)
+    a = basis_state(2, 4, 0)
+    bad = [(1.0, eps) for eps in (0.0, 1.5, -1e-3)] + [(t, 1e-3) for t in (math.inf, math.nan)]
+    for route in (matrix_element, matrix_element_pauli):
+        for t, eps in bad:
+            deadline(10)
+            with pytest.raises(ValueError):
+                route(a, a, f, t, eps)
