@@ -65,7 +65,7 @@ def _f17(x) -> str:
 
 def _json_text(obj) -> str:
     """Compact JSON with floats at 17 significant digits, field order
-    as constructed."""
+    as constructed; a nan or inf float is a ValueError."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -73,6 +73,8 @@ def _json_text(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj} has no JSON form")
         return _f17(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -352,8 +354,18 @@ def cmd_verify(args) -> int:
     return 4 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-1e-3" as a negative number, not as an option, so that
+    such a value reaches the command's range check; subparsers inherit
+    the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snsim",
         description="matrix elements of exp(-it pi~(f)) for symmetric group algebra elements",
     )

@@ -9,6 +9,13 @@ DEFAULT_FACTORIAL_CAP = 8
 # Largest flattened term count a single LCU segment may expand to.
 DEFAULT_TERM_CAP = 500_000
 
+# Largest work an LCU run may ask for, in amplitude gathers: each select
+# application over r rows of d**n amplitudes counts r * d**n, and never
+# less than DEFAULT_CALL_FLOOR, the fixed cost of one application's numpy
+# calls in the same unit.
+DEFAULT_WORK_CAP = 10_000_000_000
+DEFAULT_CALL_FLOOR = 2048
+
 
 class SizeMismatchError(ValueError):
     """Operands are defined on different ground sets {1..n}."""

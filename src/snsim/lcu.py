@@ -31,7 +31,18 @@ Both routes run the fast path on one engine, `_FastSegment`, which
 stacks the shifted Hamiltonian's select operators (one permutation per
 support term, or one Pauli flip mask per row) so that each application
 of H is one gather and one contraction; both plan with `_schedule`, whose
-`SimulationPlan` is the one record of a run's schedule.
+`SimulationPlan` is the one record of a run's schedule. Both refuse,
+before the segment loop, a run whose select applications pass
+`DEFAULT_WORK_CAP`: M * K applications of the stacked rows on the fast
+path, and on the explicit one M times one application per distinct
+permutation of the segment, each charged (rows) * d^n gathers but at
+least `DEFAULT_CALL_FLOOR`.
+
+The explicit path's segment comes from `build_segment`, which builds
+the Taylor products level by level in numpy and merges equal
+(permutation, phase) pairs with one stable sort. Its arithmetic is
+CPython's complex arithmetic written out term by term, so its terms
+equal, bit for bit, those of a product-by-product Python loop.
 
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
@@ -44,15 +55,16 @@ permutation moves at most 3 points, the regime of the suites here.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DEFAULT_CALL_FLOOR,
     DEFAULT_DENSE_CAP,
     DEFAULT_TERM_CAP,
+    DEFAULT_WORK_CAP,
     ResourceLimitError,
     SizeMismatchError,
 )
@@ -171,7 +183,12 @@ def _schedule(one_norm: float, c_id: float, t: float, epsilon: float) -> Simulat
         raise ValueError(f"need finite t > 0, got {t}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"need 0 < epsilon < 1, got {epsilon}")
-    m_segments = max(1, math.ceil(t * one_norm / LN2))
+    segments = t * one_norm / LN2
+    # epsilon / (4 M) below is a float divide; the work cap of each route
+    # refuses every count that is smaller but still too large to run
+    if not 4.0 * segments < math.inf:
+        raise ResourceLimitError(f"t*||f||_1/ln2 = {segments:.3g} segments overflow the schedule")
+    m_segments = max(1, math.ceil(segments))
     target = m_segments * LN2 / t
     epsilon_tilde = epsilon / (4 * m_segments)
     taylor_k = _min_taylor_order(LN2, epsilon_tilde)
@@ -188,6 +205,19 @@ def _schedule(one_norm: float, c_id: float, t: float, epsilon: float) -> Simulat
         pad=2.0 - s_taylor,
         closed_form_K=closed_form_taylor_order(epsilon_tilde),
     )
+
+
+def _check_work(segments: int, applications: int, rows: int, dim: int) -> None:
+    """Refuse, before the segment loop, a run of `segments` segments of
+    `applications` select applications each, an application gathering
+    `rows` rows of `dim` amplitudes and charged at least
+    DEFAULT_CALL_FLOOR gathers, when the total passes DEFAULT_WORK_CAP."""
+    if segments * applications * max(rows * dim, DEFAULT_CALL_FLOOR) > DEFAULT_WORK_CAP:
+        raise ResourceLimitError(
+            f"run needs {segments:.3g} segments of {applications} select applications "
+            f"of {rows} rows over {dim} amplitudes, past the work cap "
+            f"{DEFAULT_WORK_CAP:.3g} gathers; lower t or raise epsilon"
+        )
 
 
 def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
@@ -216,13 +246,102 @@ def taylor_segment_operator(f: AlgebraElement, d: int, delta_t: float, taylor_k:
     return acc
 
 
+def _perm_codes(images: np.ndarray) -> list[np.ndarray]:
+    """The rows of 0-based one-line images as int64 keys, equal exactly
+    when the rows are: each key is the base-n number of as many columns
+    as fit in an int64, one key for n <= 15. Few keys keep the sort
+    small: lexsort allocates per key."""
+    n = images.shape[1]
+    width = 1
+    while width < n and n ** (width + 1) < 2**63:
+        width += 1
+    keys = []
+    for start in range(0, n, width):
+        code = np.zeros(len(images), dtype=np.int64)
+        for column in images.T[start:start + width]:
+            code *= n
+            code += column
+        keys.append(code)
+    return keys
+
+
+def _first_occurrence_groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the entries whose keys are all equal, by one stable sort.
+
+    Returns the group of each entry, groups numbered in the order of
+    their first entry, and the index of each group's first entry.
+    """
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for key in keys:
+        in_order = key[order]
+        starts[1:] |= in_order[1:] != in_order[:-1]
+    first_of_sorted = order[starts]
+    rank = np.argsort(first_of_sorted)
+    group_id = np.empty_like(rank)
+    group_id[rank] = np.arange(len(rank))
+    entry_group = np.empty_like(order)
+    entry_group[order] = group_id[np.cumsum(starts) - 1]
+    return entry_group, first_of_sorted[rank]
+
+
+def _taylor_products(supp, n: int, delta_t: float, taylor_k: int, size: int):
+    """The products of m <= K support terms, as (images, weights, phase
+    real parts, phase imaginary parts) in enumeration order; products of
+    zero weight are left out, and entry 0 is the m = 0 identity with
+    coefficient 1 + 0j. `size` bounds the entry count."""
+    supp_images = np.array([p.images for p, _ in supp], dtype=np.intp).reshape(-1, n) - 1
+    c_re = np.array([c.real for _, c in supp])
+    c_im = np.array([c.imag for _, c in supp])
+    size = max(size, 1)  # K < 0 keeps the m = 0 entry
+    images = np.empty((size, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    weights, ph_re, ph_im = np.empty(size), np.empty(size), np.empty(size)
+    images[0], weights[0], ph_re[0], ph_im[0] = np.arange(n), 1.0, 1.0, 0.0
+    used = 1
+    prod, p_re, p_im = images[:1], np.ones(1), np.zeros(1)
+    for m in range(1, taylor_k + 1):
+        prod = prod[:, supp_images].reshape(-1, n)
+        p_re, p_im = (
+            (np.multiply.outer(p_re, c_re) - np.multiply.outer(p_im, c_im)).reshape(-1),
+            (np.multiply.outer(p_re, c_im) + np.multiply.outer(p_im, c_re)).reshape(-1),
+        )
+        mag = np.hypot(p_re, p_im)
+        weight = (delta_t**m / math.factorial(m)) * mag
+        keep = slice(None) if weight.all() else weight != 0.0
+        a_re, a_im, mag = p_re[keep], p_im[keep], mag[keep]
+        rot = (-1j) ** m
+        num_re = rot.real * a_re - rot.imag * a_im
+        num_im = rot.real * a_im + rot.imag * a_re
+        span = slice(used, used + len(mag))
+        images[span], weights[span] = prod[keep], weight[keep]
+        # the complex divide by complex(abs(coef), 0.0), part by part
+        ph_re[span] = (num_re + num_im * 0.0) / mag
+        ph_im[span] = (num_im - num_re * 0.0) / mag
+        used = span.stop
+    return images[:used], weights[:used], ph_re[:used], ph_im[:used]
+
+
 def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float = 0.0,
                   term_cap: int = DEFAULT_TERM_CAP) -> LcuSegment:
     """Flatten the truncated Taylor series of f + shift*identity into an
     explicit unitary combination, identity-padded to 1-norm exactly 2.
 
-    Equal (permutation, phase) pairs are merged, so the m = 0 term and
-    the padding share one identity entry.
+    The products of m support terms are built level by level in numpy,
+    level m from level m-1 in `itertools.product` order (prefix outer,
+    last factor inner): images by `(P * p_b)(i) = P(p_b(i))`,
+    coefficients by the prefix's times c_b. The arithmetic is CPython's,
+    term by term: the complex product as (ar*br - ai*bi, ar*bi + ai*br),
+    abs as hypot, and the divide by abs(coef) as the complex divide by
+    complex(abs(coef), 0.0), the rule CPython 3.10 to 3.13 applies to a
+    complex over a float. So every beta and phase, signed zeros
+    included, equals that of a product-by-product Python loop.
+
+    Equal (permutation, phase) pairs are merged by one stable sort on
+    int64 codes of the images and both phase parts, so the m = 0 term
+    and the padding share one identity entry. Merged terms keep the
+    order of their first occurrence and its phase; betas are summed in
+    enumeration order.
     """
     shifted = add(f, scale(delta(identity(f.n)), shift)) if shift else f
     supp = list(shifted.terms)
@@ -233,44 +352,35 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
             "lower K or use a sparser element"
         )
 
-    merged: dict[tuple, list] = {}
+    images, weights, ph_re, ph_im = _taylor_products(supp, f.n, delta_t, taylor_k, term_count)
+    # the sort, like a dict key, takes -0.0 and 0.0 as equal; entry 0
+    # opens group 0, which the pad tops up
+    entry_group, firsts = _first_occurrence_groups(*_perm_codes(images), ph_re, ph_im)
+    betas = np.zeros(len(firsts))
+    np.add.at(betas, entry_group, weights)
 
-    def put(beta: float, phase: complex, p: Permutation):
-        key = (p.images, phase)
-        entry = merged.setdefault(key, [0.0, phase, p])
-        entry[0] += beta
-
-    put(1.0, 1 + 0j, identity(f.n))
-    for m in range(1, taylor_k + 1):
-        base = delta_t**m / math.factorial(m)
-        for combo in itertools.product(supp, repeat=m):
-            coef = 1 + 0j
-            prod = combo[0][0]
-            for p, c in combo[1:]:
-                prod = prod * p
-            for p, c in combo:
-                coef *= c
-            weight = base * abs(coef)
-            if weight == 0.0:
-                continue
-            put(weight, (-1j) ** m * coef / abs(coef), prod)
-
-    s_now = math.fsum(entry[0] for entry in merged.values())
+    s_now = math.fsum(betas.tolist())
     pad = 2.0 - s_now
     if pad < -1e-9:
         raise ValueError(f"segment 1-norm {s_now} exceeds 2; delta_t too large")
     if pad > 0.0:
-        put(pad, 1 + 0j, identity(f.n))
+        betas[0] += pad
 
-    terms = tuple(
-        LcuTerm(beta=entry[0], phase=entry[1], perm=entry[2], word=tuple(swap_network(entry[2])))
-        for entry in merged.values()
-    )
+    perms: dict[tuple[int, ...], tuple[Permutation, tuple[int, ...]]] = {}
+    terms = []
+    for beta, row, re_, im_ in zip(betas.tolist(), (images[firsts].astype(np.intp) + 1).tolist(),
+                                   ph_re[firsts].tolist(), ph_im[firsts].tolist()):
+        one_line = tuple(row)
+        if one_line not in perms:
+            p = Permutation(one_line)
+            perms[one_line] = (p, tuple(swap_network(p)))
+        p, word = perms[one_line]
+        terms.append(LcuTerm(beta=beta, phase=complex(re_, im_), perm=p, word=word))
     return LcuSegment(
         n=f.n,
         delta_t=delta_t,
         K=taylor_k,
-        terms=terms,
+        terms=tuple(terms),
         shift=shift,
         phase_correction=cmath.exp(1j * delta_t * shift),
     )
@@ -411,18 +521,22 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
         return su.inner(sv), report
 
     pl = plan(f, t, epsilon)
-    report = gate_count_report(pl, f)
+    dim = su.amplitudes.size
     if explicit:
         seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift, term_cap=term_cap)
+        # run_segment gathers the rows of each distinct permutation at once
+        perms = len({term.perm.images for term in seg.terms})
+        _check_work(pl.M, perms, -(-len(seg.terms) // perms), dim)
         state = sv
         for _ in range(pl.M):
             state = run_segment(state, seg)
-        return su.inner(state), report
+        return su.inner(state), gate_count_report(pl, f)
 
     shifted = add(f, scale(delta(identity(f.n)), pl.shift))
+    _check_work(pl.M, pl.K, shifted.term_count, dim)
     fast = _FastSegment([permutation_index_map(p, su.d) for p, _ in shifted.terms],
                         [c for _, c in shifted.terms], None, pl)
-    return fast.element(su.amplitudes, sv.amplitudes), report
+    return fast.element(su.amplitudes, sv.amplitudes), gate_count_report(pl, f)
 
 
 def gate_count_report(pl: SimulationPlan, f: AlgebraElement) -> GateReport:

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeMismatchError
-from .lcu import GateReport, _FastSegment, _schedule
+from .lcu import GateReport, _FastSegment, _check_work, _schedule
 from .permutation import Permutation, transposition_decomposition
 from .group_algebra import AlgebraElement
 from .quditsim import check_request
@@ -322,6 +322,7 @@ def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
     pl = _schedule(g.one_norm, g.coefficient(pauli_identity(f.n)).real, t, epsilon)
     shifted = add_sums(g, pauli_sum(f.n, {pauli_identity(f.n): pl.shift}))
     gathers, weights = _flip_mask_groups(shifted)
+    _check_work(pl.M, pl.K, len(gathers), su.amplitudes.size)
     fast = _FastSegment(gathers, np.ones(len(gathers)), weights, pl)
     value = fast.element(su.amplitudes, sv.amplitudes)
 

@@ -22,6 +22,7 @@ elements of `yor`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -373,11 +374,14 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
                          cap: int = DEFAULT_DENSE_CAP) -> complex:
     """<u| exp(-it pi~(f)) |v> by dense Hermitian eigendecomposition.
 
-    u and v may be YoungBasisVector or raw Statevector values.
+    u and v may be YoungBasisVector or raw Statevector values; t must
+    be finite.
     """
     from .group_algebra import pi_tilde_dense  # deferred: two-way module pair
 
     su, sv = check_request(u, v, f)
+    if not math.isfinite(t):
+        raise ValueError(f"need finite t, got {t}")
     ham = pi_tilde_dense(f, su.d, cap=cap)
     evals, evecs = np.linalg.eigh(ham)
     a = evecs.conj().T @ sv.amplitudes

@@ -1,10 +1,12 @@
 """CLI contract: exit codes, JSON shape, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from snsim.cli import main
+from snsim.cli import _json_text, main
 from snsim.group_algebra import algebra_element, element_to_json_dict
 from snsim.permutation import transposition
 
@@ -151,6 +153,36 @@ def test_matelem_bad_eps_is_usage_error(f_path, deadline):
     deadline(10)
     assert main(["matelem", "--f", f_path, "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1.0",
                  "--eps=-1e-3", "--method", "lcu-pauli"]) == 2
+
+
+def test_matelem_negative_exponent_values_are_parsed(f_path, capsys, deadline):
+    deadline(10)
+    pair = ["matelem", "--f", f_path, "--u", "3+1:0:0", "--v", "3+1:1:0"]
+    assert main(pair + ["--t", "1.0", "--eps", "-1e-3"]) == 2
+    assert "need 0 < epsilon < 1, got -0.001" in capsys.readouterr().err
+    # the oracle evolves backwards in time as well
+    assert main(pair + ["--t", "-1e-3", "--method", "exact"]) == 0
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_matelem_non_finite_t_is_usage_error(f_path, capsys, t):
+    argv = ["matelem", "--f", f_path, "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", t,
+            "--method", "exact"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_json_text_refuses_non_finite_floats():
+    for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError):
+            _json_text({"value": [1.0, x]})
+
+
+@pytest.mark.parametrize("t", ["1e6", "1e7", "1e300"])
+def test_matelem_unbounded_work_is_resource_error(f_path, deadline, t):
+    deadline(30)
+    assert main(["matelem", "--f", f_path, "--u", "3+1:0:0", "--v", "3+1:1:0",
+                 "--t", t, "--eps", "0.5", "--method", "lcu-swap"]) == 3
 
 
 def test_bench_csv_shape_and_determinism(tmp_path):

@@ -282,3 +282,21 @@ def test_both_routes_reject_bad_t_and_epsilon(deadline):
             deadline(10)
             with pytest.raises(ValueError):
                 route(a, a, f, t, eps)
+
+
+def test_work_cap_refuses_before_the_segment_loop(deadline):
+    # on 16 amplitudes every select application costs the call floor:
+    # t = 1e6 plans ~3.5e6 segments, which only the floor refuses and
+    # the fast path would run for minutes, 1e7 for hours; 1e308
+    # overflows the schedule, where it used to raise OverflowError; the
+    # plan alone, pure accounting, accepts 1e300
+    f = heisenberg_like(4)
+    a = basis_state(2, 4, 0)
+    assert plan(f, 1e300, 0.5).M > 10**300
+    for t in (1e6, 1e7, 1e9, 1e300, 1e308):
+        for run in (lambda: matrix_element(a, a, f, t, 0.5),
+                    lambda: matrix_element(a, a, f, t, 0.5, explicit=True),
+                    lambda: matrix_element_pauli(a, a, f, t, 0.5)):
+            deadline(10)
+            with pytest.raises(ResourceLimitError):
+                run()

@@ -1,20 +1,27 @@
-"""The stacked-select LCU engine against the per-term loop it replaced.
+"""The LCU engines against the loops they replaced.
 
-The engine sums the select operators in BLAS order, so it is not
-bit-identical to a loop over terms; the tolerances below are fixed in
-advance: 1e-13 * ||f||_1 * max|a| for one Hamiltonian application and
-1e-12 for a whole matrix element between unit vectors.
+The stacked-select engine sums the select operators in BLAS order, so
+it is not bit-identical to a loop over terms; the tolerances below are
+fixed in advance: 1e-13 * ||f||_1 * max|a| for one Hamiltonian
+application and 1e-12 for a whole matrix element between unit vectors.
+The level-order `build_segment` must match the product-by-product
+build bit for bit.
 """
 
 import cmath
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from test_lcu import heisenberg_like
+
 from snsim import lcu
-from snsim.group_algebra import add, delta, random_hermitian_k_local, scale
-from snsim.lcu import LN2, matrix_element, plan
+from snsim.errors import ResourceLimitError
+from snsim.group_algebra import add, algebra_element, delta, random_hermitian_k_local, scale
+from snsim.lcu import LN2, build_segment, matrix_element, plan
 from snsim.pauli_expand import (
     _flip_mask_groups,
     element_to_pauli,
@@ -23,8 +30,8 @@ from snsim.pauli_expand import (
     string_index_phase,
     sum_dense,
 )
-from snsim.permutation import identity
-from snsim.quditsim import Statevector, permutation_index_map
+from snsim.permutation import identity, parse_permutation, transposition
+from snsim.quditsim import Statevector, permutation_index_map, swap_network
 
 
 class LoopSegment:
@@ -154,3 +161,100 @@ def test_engine_applies_h_3mk_times(monkeypatch):
     calls.clear()
     _, report = matrix_element_pauli(u, v, f, 2.0, 1e-6)
     assert len(calls) == 3 * report.M * report.K == report.actual
+
+
+def reference_segment(f, delta_t, taylor_k, shift):
+    """The product-by-product build: every m-fold product of the shifted
+    support in `itertools.product` order, merged in a dict by
+    (images, phase); returns the terms as (beta, phase, perm, word).
+    The divide by abs(coef) is written as a complex divide, the rule of
+    CPython 3.10 to 3.13 for a complex over a float, so the reference
+    does not change with the interpreter."""
+    shifted = add(f, scale(delta(identity(f.n)), shift)) if shift else f
+    supp = list(shifted.terms)
+    merged = {}
+
+    def put(beta, phase, p):
+        entry = merged.setdefault((p.images, phase), [0.0, phase, p])
+        entry[0] += beta
+
+    put(1.0, 1 + 0j, identity(f.n))
+    for m in range(1, taylor_k + 1):
+        base = delta_t**m / math.factorial(m)
+        for combo in itertools.product(supp, repeat=m):
+            coef = 1 + 0j
+            prod = combo[0][0]
+            for p, c in combo[1:]:
+                prod = prod * p
+            for p, c in combo:
+                coef *= c
+            weight = base * abs(coef)
+            if weight == 0.0:
+                continue
+            put(weight, (-1j) ** m * coef / complex(abs(coef), 0.0), prod)
+    pad = 2.0 - math.fsum(entry[0] for entry in merged.values())
+    if pad > 0.0:
+        put(pad, 1 + 0j, identity(f.n))
+    return [(beta, phase, p, tuple(swap_network(p))) for beta, phase, p in merged.values()]
+
+
+def bits(beta, phase, perm, word):
+    """A term with its floats as hex, so that signed zeros count."""
+    return beta.hex(), phase.real.hex(), phase.imag.hex(), perm.images, word
+
+
+def cancelling_identity():
+    """An element with an identity term, with dt and the shift that
+    cancels it exactly: the shifted support has no identity. The
+    inverse 3-cycle's coefficient, the conjugate -0.25 - 0j, gives a
+    phase whose real part is -0.0 before the divide by
+    complex(abs(coef), 0.0) and 0.0 after it."""
+    n = 4
+    cyc = parse_permutation("(1 2 3)", n=n)
+    c = -0.25 + 0j
+    f = algebra_element(n, {identity(n): 0.7, transposition(n, 1, 2): 0.3,
+                            cyc: c, cyc.inverse(): c.conjugate()})
+    shifted = add(f, scale(delta(identity(n)), -0.7))
+    assert identity(n) not in shifted.support()
+    return f, LN2 / shifted.one_norm, 5, -0.7
+
+
+def sixteen_points():
+    """n = 16, whose images take two int64 codes, of 15 columns and of
+    one; the imaginary 3-cycle coefficient does for the phase's
+    imaginary part what the case above does for its real part."""
+    n = 16
+    cyc = parse_permutation("(1 9 16)", n=n)
+    f = algebra_element(n, {transposition(n, 1, 16): 0.4, transposition(n, 8, 9): 0.3,
+                            cyc: 0.25j, cyc.inverse(): -0.25j})
+    return f, 0.4, 4, 0.2
+
+
+def planned(f, t, eps, k_cap):
+    """(f, dt, K, shift) of the plan, K capped so the reference stays fast."""
+    pl = plan(f, t, eps)
+    return f, pl.delta_t, min(pl.K, k_cap), pl.shift
+
+
+@pytest.mark.parametrize("case", [
+    lambda: planned(random_hermitian_k_local(4, 3, 3, seed=11), 0.8, 1e-3, 5),
+    lambda: planned(heisenberg_like(4), 1.0, 1e-3, 5),  # real: many products per term
+    lambda: planned(random_hermitian_k_local(5, 3, 4, seed=3), 0.5, 1e-2, 4),
+    cancelling_identity,
+    sixteen_points,
+], ids=["k-local-n4", "heisenberg-n4", "k-local-n5", "cancelled-identity", "n16"])
+def test_build_segment_matches_product_loop_bit_for_bit(case):
+    f, delta_t, taylor_k, shift = case()
+    seg = build_segment(f, delta_t, taylor_k, shift=shift)
+    expect = [bits(*term) for term in reference_segment(f, delta_t, taylor_k, shift)]
+    got = [bits(term.beta, term.phase, term.perm, term.word) for term in seg.terms]
+    assert got == expect
+    assert seg.phase_correction == cmath.exp(1j * delta_t * shift)
+
+
+def test_term_cap_refuses_with_the_same_message():
+    f = heisenberg_like(4)  # five terms: 1 + 5 + ... + 5^5 = 3906 products at K = 5
+    message = "flattened segment has 3906 terms (cap 3905); lower K or use a sparser element"
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        build_segment(f, 0.1, 5, term_cap=3905)
+    assert build_segment(f, 0.1, 5, term_cap=3906).terms
