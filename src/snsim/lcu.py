@@ -406,52 +406,48 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
         raise SizeMismatchError(f"segment on {seg.n} sites vs state on {state.n}")
     d = state.d
     terms = seg.terms
-    anc = 1 << max(0, (len(terms) - 1).bit_length())
+    live = len(terms)
+    anc = 1 << max(0, (live - 1).bit_length())
     column = np.zeros(anc)
-    column[: len(terms)] = np.sqrt(np.array([term.beta for term in terms]) / 2.0)
+    column[:live] = np.sqrt(np.array([term.beta for term in terms]) / 2.0)
     column /= np.linalg.norm(column)
     house = column.copy()
     house[0] -= 1.0
     h2 = float(house @ house)
 
-    # PREPARE as the rank-1 Householder update, never as a dense matrix
+    # PREPARE as the rank-1 Householder update, never as a dense matrix.
+    # Rows past the last term stay zero, so the update touches only the
+    # live rows; house @ joint still sums over the whole register, which
+    # keeps its BLAS sums, and the result, bit for bit
     def prep_apply(joint: np.ndarray) -> np.ndarray:
         if h2 < 1e-28:
             return joint
-        joint -= np.outer(house, (2.0 / h2) * (house @ joint))
+        joint[:live] -= np.outer(house[:live], (2.0 / h2) * (house @ joint))
         return joint
 
     # rows sharing a permutation are gathered together; only the phase
     # varies per row
-    phases = np.ones(anc, dtype=complex)
-    phases[: len(terms)] = [term.phase for term in terms]
-    groups: dict[tuple, list[int]] = {}
-    by_perm: dict[tuple, Permutation] = {}
+    phases = np.array([term.phase for term in terms], dtype=complex)
+    groups: dict[tuple, tuple[Permutation, list[int]]] = {}
     for j, term in enumerate(terms):
-        if term.perm.is_identity():
-            continue
-        groups.setdefault(term.perm.images, []).append(j)
-        by_perm[term.perm.images] = term.perm
-    gathers = {
-        images: (
-            np.array(rows),
-            permutation_index_map(by_perm[images], d),
-            permutation_index_map(by_perm[images].inverse(), d),
-        )
-        for images, rows in groups.items()
-    }
-    ident_phase = np.ones(anc, dtype=bool)
-    for rows, _, _ in gathers.values():
-        ident_phase[rows] = False
+        groups.setdefault(term.perm.images, (term.perm, []))[1].append(j)
+    ident_rows = np.array([], dtype=np.intp)
+    gathers = []
+    for p, rows in groups.values():
+        if p.is_identity():
+            # identity-permutation rows only need their phase
+            ident_rows = np.array(rows)
+        else:
+            gathers.append((np.array(rows), permutation_index_map(p, d),
+                            permutation_index_map(p.inverse(), d)))
 
     def apply_w(joint: np.ndarray, dagger: bool) -> np.ndarray:
         joint = prep_apply(joint)
         col = phases.conj() if dagger else phases
-        for rows, fwd, inv in gathers.values():
+        for rows, fwd, inv in gathers:
             g = inv if dagger else fwd
             joint[rows] = col[rows, None] * joint[np.ix_(rows, g)]
-        # identity-permutation rows only need their phase
-        joint[ident_phase] *= col[ident_phase, None]
+        joint[ident_rows] *= col[ident_rows, None]
         return prep_apply(joint)
 
     joint = np.zeros((anc, d**state.n), dtype=complex)

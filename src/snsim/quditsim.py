@@ -17,6 +17,12 @@ the remaining SU(d) copies are generated by lowering operators, and the
 companion tableau vectors are produced by the orthogonal-representation
 recurrence, so the S_n action on the result has exactly the matrix
 elements of `yor`.
+
+The exact oracle builds the dense operator pi~(f) but never solves it
+whole: a permutation keeps each digit's count, so pi~(f) is block
+diagonal over the weight sectors of (C^d)^(x n), and only the sectors
+where both vectors have support are diagonalized. A Young-basis vector
+lies in one sector, of dimension at most C(n, n/2) at d = 2.
 """
 
 from __future__ import annotations
@@ -109,6 +115,14 @@ def _digit_table_cached(d: int, n: int) -> np.ndarray:
     """digits[i, q-1] = q-th digit (qudit q) of basis index i."""
     idx = np.arange(d**n)
     return np.stack([(idx // d ** (n - q)) % d for q in range(1, n + 1)], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_counts(d: int, n: int) -> np.ndarray:
+    """counts[i, a] = how many qudits of basis index i hold digit a: the
+    weight of i, which every P(p) keeps."""
+    digits = _digit_table_cached(d, n)
+    return np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
 
 
 def permutation_index_map(p: Permutation, d: int) -> np.ndarray:
@@ -227,9 +241,7 @@ def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int,
     """The unique top-weight state with the X_k eigenvalue profile of t0."""
     dim = d**n
     counts_target = lam.padded(d)
-    digits = _digit_table_cached(d, n)
-    counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
-    sel = np.flatnonzero((counts == np.array(counts_target)).all(axis=1))
+    sel = np.flatnonzero((_digit_counts(d, n) == np.array(counts_target)).all(axis=1))
     basis = np.zeros((dim, len(sel)))
     basis[sel, np.arange(len(sel))] = 1.0
     for k in range(2, n + 1):
@@ -372,10 +384,15 @@ def check_request(u, v, f: "AlgebraElement") -> tuple[Statevector, Statevector]:
 
 def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
                          cap: int = DEFAULT_DENSE_CAP) -> complex:
-    """<u| exp(-it pi~(f)) |v> by dense Hermitian eigendecomposition.
+    """<u| exp(-it pi~(f)) |v> by Hermitian eigendecomposition, one
+    weight sector at a time.
 
-    u and v may be YoungBasisVector or raw Statevector values; t must
-    be finite.
+    Every P(p) keeps the digit counts of a basis state, so pi~(f) is
+    block diagonal over the weight sectors and so is its exponential.
+    Only a sector where both u and v have support adds to the element;
+    each such sector's block of the dense operator is solved by `eigh`,
+    and u and v sharing none gives 0j. u and v may be YoungBasisVector
+    or raw Statevector values; t must be finite.
     """
     from .group_algebra import pi_tilde_dense  # deferred: two-way module pair
 
@@ -383,7 +400,15 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
     if not math.isfinite(t):
         raise ValueError(f"need finite t, got {t}")
     ham = pi_tilde_dense(f, su.d, cap=cap)
-    evals, evecs = np.linalg.eigh(ham)
-    a = evecs.conj().T @ sv.amplitudes
-    b = evecs.conj().T @ su.amplitudes
-    return complex(np.vdot(b, np.exp(-1j * t * evals) * a))
+    # one integer per weight: the digit counts read in base n + 1
+    code = _digit_counts(su.d, su.n) @ (su.n + 1) ** np.arange(su.d)
+    value = 0j
+    # sectors are taken per vector, not per index: two basis states of
+    # one sector with disjoint supports still couple through it
+    for sector in np.intersect1d(code[su.amplitudes != 0], code[sv.amplitudes != 0]):
+        rows = np.flatnonzero(code == sector)
+        evals, evecs = np.linalg.eigh(ham[np.ix_(rows, rows)])
+        a = evecs.conj().T @ sv.amplitudes[rows]
+        b = evecs.conj().T @ su.amplitudes[rows]
+        value += complex(np.vdot(b, np.exp(-1j * t * evals) * a))
+    return value

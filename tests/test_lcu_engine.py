@@ -5,7 +5,7 @@ it is not bit-identical to a loop over terms; the tolerances below are
 fixed in advance: 1e-13 * ||f||_1 * max|a| for one Hamiltonian
 application and 1e-12 for a whole matrix element between unit vectors.
 The level-order `build_segment` must match the product-by-product
-build bit for bit.
+build bit for bit, and `run_segment` its full-register version.
 """
 
 import cmath
@@ -21,7 +21,7 @@ from test_lcu import heisenberg_like
 from snsim import lcu
 from snsim.errors import ResourceLimitError
 from snsim.group_algebra import add, algebra_element, delta, random_hermitian_k_local, scale
-from snsim.lcu import LN2, build_segment, matrix_element, plan
+from snsim.lcu import LN2, build_segment, matrix_element, plan, run_segment
 from snsim.pauli_expand import (
     _flip_mask_groups,
     element_to_pauli,
@@ -236,13 +236,16 @@ def planned(f, t, eps, k_cap):
     return f, pl.delta_t, min(pl.K, k_cap), pl.shift
 
 
-@pytest.mark.parametrize("case", [
-    lambda: planned(random_hermitian_k_local(4, 3, 3, seed=11), 0.8, 1e-3, 5),
-    lambda: planned(heisenberg_like(4), 1.0, 1e-3, 5),  # real: many products per term
-    lambda: planned(random_hermitian_k_local(5, 3, 4, seed=3), 0.5, 1e-2, 4),
-    cancelling_identity,
-    sixteen_points,
-], ids=["k-local-n4", "heisenberg-n4", "k-local-n5", "cancelled-identity", "n16"])
+SMALL_CASES = {
+    "k-local-n4": lambda: planned(random_hermitian_k_local(4, 3, 3, seed=11), 0.8, 1e-3, 5),
+    "heisenberg-n4": lambda: planned(heisenberg_like(4), 1.0, 1e-3, 5),  # real: many products per term
+    "k-local-n5": lambda: planned(random_hermitian_k_local(5, 3, 4, seed=3), 0.5, 1e-2, 4),
+    "cancelled-identity": cancelling_identity,
+}
+
+
+@pytest.mark.parametrize("case", [*SMALL_CASES.values(), sixteen_points],
+                         ids=[*SMALL_CASES, "n16"])
 def test_build_segment_matches_product_loop_bit_for_bit(case):
     f, delta_t, taylor_k, shift = case()
     seg = build_segment(f, delta_t, taylor_k, shift=shift)
@@ -258,3 +261,72 @@ def test_term_cap_refuses_with_the_same_message():
     with pytest.raises(ResourceLimitError, match=re.escape(message)):
         build_segment(f, 0.1, 5, term_cap=3905)
     assert build_segment(f, 0.1, 5, term_cap=3906).terms
+
+
+def reference_run_segment(state, seg):
+    """`run_segment` over the whole power-of-two ancilla register: the
+    Householder update and the identity rows' phases touch every row,
+    and each term is asked whether its permutation is the identity."""
+    d = state.d
+    terms = seg.terms
+    anc = 1 << max(0, (len(terms) - 1).bit_length())
+    column = np.zeros(anc)
+    column[: len(terms)] = np.sqrt(np.array([term.beta for term in terms]) / 2.0)
+    column /= np.linalg.norm(column)
+    house = column.copy()
+    house[0] -= 1.0
+    h2 = float(house @ house)
+
+    def prep_apply(joint):
+        if h2 < 1e-28:
+            return joint
+        joint -= np.outer(house, (2.0 / h2) * (house @ joint))
+        return joint
+
+    phases = np.ones(anc, dtype=complex)
+    phases[: len(terms)] = [term.phase for term in terms]
+    groups, by_perm = {}, {}
+    for j, term in enumerate(terms):
+        if term.perm.is_identity():
+            continue
+        groups.setdefault(term.perm.images, []).append(j)
+        by_perm[term.perm.images] = term.perm
+    gathers = {
+        images: (np.array(rows), permutation_index_map(by_perm[images], d),
+                 permutation_index_map(by_perm[images].inverse(), d))
+        for images, rows in groups.items()
+    }
+    ident_phase = np.ones(anc, dtype=bool)
+    for rows, _, _ in gathers.values():
+        ident_phase[rows] = False
+
+    def apply_w(joint, dagger):
+        joint = prep_apply(joint)
+        col = phases.conj() if dagger else phases
+        for rows, fwd, inv in gathers.values():
+            g = inv if dagger else fwd
+            joint[rows] = col[rows, None] * joint[np.ix_(rows, g)]
+        joint[ident_phase] *= col[ident_phase, None]
+        return prep_apply(joint)
+
+    joint = np.zeros((anc, d**state.n), dtype=complex)
+    joint[0] = state.amplitudes
+    joint = apply_w(joint, dagger=False)
+    joint[0] *= -1.0
+    joint = apply_w(joint, dagger=True)
+    joint[0] *= -1.0
+    joint = apply_w(joint, dagger=False)
+    return -joint[0] * seg.phase_correction
+
+
+# the n = 16 case is left out: its 82 terms take a 128 x 2^16 register
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", SMALL_CASES.values(), ids=SMALL_CASES)
+def test_run_segment_matches_full_register_bit_for_bit(case, d):
+    f, delta_t, taylor_k, shift = case()
+    seg = build_segment(f, delta_t, taylor_k, shift=shift)
+    state = Statevector(d, f.n, random_unit(np.random.default_rng(d), d, f.n))
+    got = run_segment(state, seg).amplitudes
+    expect = reference_run_segment(state, seg)
+    assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
+        [(z.real.hex(), z.imag.hex()) for z in expect.tolist()]

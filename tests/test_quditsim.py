@@ -252,3 +252,101 @@ def test_young_basis_deterministic_rebuild():
     second = [v.vector.amplitudes.copy() for v in young_basis(4, 2)]
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def full_space_oracle(f, d):
+    """The oracle before its sector split, one eigh of the whole d^n x d^n
+    operator, as a function of (u, v, t)."""
+    evals, evecs = np.linalg.eigh(pi_tilde_dense(f, d))
+
+    def element(u, v, t):
+        a = evecs.conj().T @ getattr(v, "vector", v).amplitudes
+        b = evecs.conj().T @ getattr(u, "vector", u).amplitudes
+        return complex(np.vdot(b, np.exp(-1j * t * evals) * a))
+
+    return element
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sector_oracle_matches_full_space_on_young_pairs(d):
+    n = 4
+    f = random_hermitian_k_local(n, 3, 4, seed=30 + d)
+    full = full_space_oracle(f, d)
+    basis = young_basis(n, d)
+    for u in basis:
+        for v in basis:
+            assert abs(exact_matrix_element(u, v, f, 0.9) - full(u, v, 0.9)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (4, 3)])
+def test_sector_oracle_matches_full_space_on_raw_states(n, d):
+    f = random_hermitian_k_local(n, 3, 4, seed=n + d)
+    full = full_space_oracle(f, d)
+    rng = np.random.default_rng(n * d)
+    for t in (0.0, 0.4, 1.7):
+        raw = rng.standard_normal((2, d**n)) + 1j * rng.standard_normal((2, d**n))
+        u, v = (Statevector(d, n, x / np.linalg.norm(x)) for x in raw)
+        assert abs(exact_matrix_element(u, v, f, t) - full(u, v, t)) <= 1e-12
+
+
+def test_sector_oracle_on_basis_states():
+    n, d = 4, 2
+    f = random_hermitian_k_local(n, 3, 4, seed=7)
+    # one sector, disjoint supports: coupled through the sector's block
+    a, b = basis_state(d, n, [0, 1, 1, 0]), basis_state(d, n, [1, 0, 1, 0])
+    expect = full_space_oracle(f, d)(a, b, 1.1)
+    assert abs(expect) > 1e-3
+    assert abs(exact_matrix_element(a, b, f, 1.1) - expect) <= 1e-12
+    # different sectors: no sector in common, exactly zero
+    c = basis_state(d, n, [1, 1, 1, 0])
+    assert exact_matrix_element(a, c, f, 1.1) == 0j
+    assert exact_matrix_element(young_basis(n, d)[0], c, f, 1.1) == 0j
+
+
+def test_sector_oracle_at_t_zero_is_the_inner_product():
+    n, d = 5, 2
+    f = random_hermitian_k_local(n, 3, 4, seed=9)
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((2, d**n)) + 1j * rng.standard_normal((2, d**n))
+    u, v = (Statevector(d, n, x / np.linalg.norm(x)) for x in raw)
+    assert abs(exact_matrix_element(u, v, f, 0.0) - u.inner(v)) <= 1e-12
+    basis = young_basis(n, d)
+    for x, y in [(basis[0], basis[0]), (basis[1], basis[2])]:
+        assert abs(exact_matrix_element(x, y, f, 0.0) - x.vector.inner(y.vector)) <= 1e-12
+
+
+def chain(n):
+    """Adjacent transpositions, built by hand: `random_hermitian_k_local`
+    enumerates all of S_n, too many at n = 12."""
+    return algebra_element(n, {transposition(n, i, i + 1): 0.1 * i for i in range(1, n)})
+
+
+def test_sector_oracle_solves_only_the_shared_sector(monkeypatch):
+    basis = young_basis(10, 2)  # built before eigh is wrapped: it calls eigh itself
+    pair = [vec for vec in basis if vec.weight == (5, 5)][:2]
+    shapes = []
+    full = np.linalg.eigh
+
+    def recording(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return full(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    exact_matrix_element(pair[0], pair[1], chain(10), 1.0)
+    assert shapes == [(252, 252)]
+
+    shapes.clear()
+    a = basis_state(2, 12, [0, 1] * 6)
+    b = basis_state(2, 12, [1, 0] * 6)
+    exact_matrix_element(a, b, chain(12), 1.0)
+    assert shapes == [(924, 924)]
+
+    shapes.clear()
+    n, d = 6, 3
+    f = random_hermitian_k_local(n, 3, 3, seed=1)
+    raw = np.random.default_rng(2).standard_normal((2, d**n)).astype(complex)
+    exact_matrix_element(Statevector(d, n, raw[0]), Statevector(d, n, raw[1]), f, 1.0)
+    largest = max(math.factorial(n) // math.prod(math.factorial(k) for k in mu)
+                  for mu in itertools.product(range(n + 1), repeat=d) if sum(mu) == n)
+    assert len(shapes) == math.comb(n + d - 1, d - 1)
+    assert all(shape[0] <= largest for shape in shapes)
