@@ -40,21 +40,16 @@ from .group_algebra import (
 )
 from .pauli_expand import matrix_element_pauli
 from .permutation import (
-    Permutation,
     enumerate_sn,
     format_cycles,
+    from_cycles,
     parse_permutation,
     transposition,
 )
 from .quditsim import exact_matrix_element, young_basis
 from .verify import run_suite
 from .yor import yor
-from .young import (
-    enumerate_partitions,
-    hook_length_dimension,
-    parse_partition,
-    weyl_dimension,
-)
+from .young import enumerate_partitions, parse_partition, schur_weyl_dimension_check
 
 SCHEMA_VERSION = "1"
 
@@ -115,12 +110,9 @@ def _parse_basis_label(text: str):
 
 
 def cmd_dims(args) -> int:
+    consistent, table = schur_weyl_dimension_check(args.n, args.d)
     rows = []
-    total = 0
-    for lam in enumerate_partitions(args.n, max_rows=min(args.n, args.d)):
-        dim_sn = hook_length_dimension(lam)
-        dim_sud = weyl_dimension(lam, args.d)
-        total += dim_sn * dim_sud
+    for lam, dim_sud, dim_sn in table:
         row = {
             "shape": str(lam),
             "dim_sn": dim_sn,
@@ -139,9 +131,9 @@ def cmd_dims(args) -> int:
         "n": args.n,
         "d": args.d,
         "rows": rows,
-        "total": total,
+        "total": sum(row["product"] for row in rows),
         "d_pow_n": args.d**args.n,
-        "consistent": total == args.d**args.n,
+        "consistent": consistent,
     }
     _emit(args, _json_text(record))
     return 0
@@ -286,11 +278,7 @@ def _bench_element(n: int, k: int) -> AlgebraElement:
     so the gate column depends on n only through the closed form."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    cyc = list(range(1, k + 1))
-    images = list(range(1, n + 1))
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        images[a - 1] = b
-    cycle = Permutation(tuple(images))
+    cycle = from_cycles(n, [range(1, k + 1)])
     table = {transposition(n, 1, 2): 0.35 + 0j}
     table[cycle] = table.get(cycle, 0j) + 0.25
     inv = cycle.inverse()
@@ -373,9 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--cap-dense", type=int, default=DEFAULT_DENSE_CAP, dest="cap_dense")
-        p.add_argument("--cap-factorial", type=int, default=DEFAULT_FACTORIAL_CAP,
-                       dest="cap_factorial")
 
     p = sub.add_parser("dims", help="irrep dimension table and the d^n sum check")
     p.add_argument("--n", type=int, required=True)
@@ -394,6 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="dense JSON array of n! values (needs --n)")
     p.add_argument("--n", type=int)
     common(p)
+    p.add_argument("--cap-factorial", type=int, default=DEFAULT_FACTORIAL_CAP)
     p.set_defaults(func=cmd_fft)
 
     p = sub.add_parser("convolve", help="convolution of two elements")
@@ -406,6 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     common(p)
+    p.add_argument("--cap-dense", type=int, default=DEFAULT_DENSE_CAP)
     p.set_defaults(func=cmd_young_basis)
 
     p = sub.add_parser("matelem", help="matrix element between Young basis vectors")
@@ -417,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--method", choices=["exact", "lcu-swap", "lcu-pauli"], default="lcu-swap")
     common(p)
+    p.add_argument("--cap-dense", type=int, default=DEFAULT_DENSE_CAP)
     p.set_defaults(func=cmd_matelem)
 
     p = sub.add_parser("bench", help="classical Fourier ops vs LCU gate counts per n")
@@ -427,6 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     common(p)
+    p.add_argument("--cap-factorial", type=int, default=DEFAULT_FACTORIAL_CAP)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run a named invariant suite")

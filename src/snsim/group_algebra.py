@@ -20,6 +20,7 @@ factorial growth can be measured rather than asserted.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -325,6 +326,20 @@ def pi_tilde_dense(f: AlgebraElement, d: int, cap: int = DEFAULT_DENSE_CAP) -> n
     return out
 
 
+def _k_local_permutations(n: int, k: int) -> list[Permutation]:
+    """Every permutation moving 2..k points, in the lexicographic one-line
+    order of `enumerate_sn`: the derangements of each support set, so the
+    cost follows the pool's size rather than n!."""
+    pool = []
+    for size in range(2, k + 1):
+        for sup in itertools.combinations(range(1, n + 1), size):
+            for moved in itertools.permutations(sup):
+                if all(a != b for a, b in zip(sup, moved)):
+                    images = dict(zip(sup, moved))
+                    pool.append(Permutation(tuple(images.get(i, i) for i in range(1, n + 1))))
+    return sorted(pool, key=lambda p: p.images)
+
+
 def random_hermitian_k_local(n: int, k: int, num_terms: int, seed: int) -> AlgebraElement:
     """Seeded Hermitian element supported on permutations moving <= k points.
 
@@ -335,7 +350,7 @@ def random_hermitian_k_local(n: int, k: int, num_terms: int, seed: int) -> Algeb
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    pool = [p for p in enumerate_sn(n) if 0 < locality(p) <= k]
+    pool = _k_local_permutations(n, k)
     if num_terms > len(pool):
         raise ValueError(f"num_terms={num_terms} exceeds the {len(pool)} k-local permutations")
     rng = np.random.default_rng(seed)

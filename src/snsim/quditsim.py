@@ -16,7 +16,9 @@ sums X_k = sum_{i<k} (i k) (integer eigenvalues = tableau contents),
 the remaining SU(d) copies are generated by lowering operators, and the
 companion tableau vectors are produced by the orthogonal-representation
 recurrence, so the S_n action on the result has exactly the matrix
-elements of `yor`.
+elements of `yor`. It runs once per block on the stacked weight copies,
+one gather per tableau exchange edge of `yor.generator_tables`, and every
+vector keeps the weight its copy was built at.
 
 The exact oracle builds the dense operator pi~(f) but never solves it
 whole: a permutation keeps each digit's count, so pi~(f) is block
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import DEFAULT_DENSE_CAP, ResourceLimitError, SizeMismatchError
 from .permutation import Permutation, adjacent_word, transposition
 from .young import Partition, StandardTableau, enumerate_partitions, weyl_dimension
-from .yor import tableaux as _tableaux
+from .yor import generator_tables, tableaux as _tableaux
 
 if TYPE_CHECKING:
     from .group_algebra import AlgebraElement
@@ -260,8 +262,9 @@ def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int,
     return _canonical_sign(v / np.linalg.norm(v))
 
 
-def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int) -> list[np.ndarray]:
-    """All weight copies of the block, top weight first, lex-descending.
+def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int) -> list[tuple[tuple, np.ndarray]]:
+    """All weight copies of the block as (weight, vector) pairs, top
+    weight first, lex-descending.
 
     Every lower weight space is spanned by single lowering steps from
     already-built weights; double Gram-Schmidt in a fixed candidate
@@ -289,7 +292,7 @@ def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int) -> list[np.n
                     kept.append(_canonical_sign(cand / nrm))
         if kept:
             copies[mu] = kept
-    ordered = [v for mu in sorted(copies, reverse=True) for v in copies[mu]]
+    ordered = [(mu, v) for mu in sorted(copies, reverse=True) for v in copies[mu]]
     if len(ordered) != weyl_dimension(lam, d):
         raise RuntimeError(
             f"block {lam}: built {len(ordered)} copies, expected {weyl_dimension(lam, d)}"
@@ -297,28 +300,27 @@ def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int) -> list[np.n
     return ordered
 
 
-def _transport(lam: Partition, seed_vec: np.ndarray, d: int, trans_maps: dict) -> list[np.ndarray]:
-    """Companion vectors for every tableau from the first-tableau seed.
+def _transport(lam: Partition, seeds: np.ndarray, trans_maps: dict) -> list[np.ndarray]:
+    """Companion vectors for every tableau from the first-tableau seeds.
 
-    Inverts the generator action: with r = axial_distance(t, k) and t'
-    = t with k, k+1 swapped, P(s_k)|t> = (1/r)|t> + sqrt(1-1/r^2)|t'>.
+    `seeds` stacks the block's weight copies for the first tableau, one
+    per row; entry i of the result stacks them for tableau i, and every
+    copy moves along an edge in one gather. Inverts the generator
+    action: with r = axial_distance(t, k) and t' the partner of t in
+    `yor.generator_tables`, P(s_k)|t> = (1/r)|t> + sqrt(1-1/r^2)|t'>.
     """
     ts = _tableaux(lam)
-    index = {t: i for i, t in enumerate(ts)}
-    vecs: dict[int, np.ndarray] = {0: seed_vec}
+    partners = [partner for _, _, partner in generator_tables(lam)]
+    vecs: dict[int, np.ndarray] = {0: seeds}
     queue = [0]
     while queue:
         ti = queue.pop(0)
-        t = ts[ti]
         for k in range(1, lam.n):
-            mate = t.swap(k)
-            if mate is None:
+            mi = int(partners[k - 1][ti])
+            if mi in vecs:  # also a row without a mate, whose partner is itself
                 continue
-            mi = index[mate]
-            if mi in vecs:
-                continue
-            r = t.axial_distance(k)
-            swapped = vecs[ti][trans_maps[(k, k + 1)]]
+            r = ts[ti].axial_distance(k)
+            swapped = vecs[ti][:, trans_maps[(k, k + 1)]]
             vecs[mi] = (swapped - vecs[ti] / r) / np.sqrt(1.0 - 1.0 / (r * r))
             queue.append(mi)
     return [vecs[i] for i in range(len(ts))]
@@ -342,16 +344,9 @@ def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasi
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
         ts = _tableaux(lam)
         v_top = _top_weight_vector(lam, ts[0], d, n, trans_maps)
-        weight_copies = _su_d_copies(lam, v_top, d, n)
-        per_tableau: list[list[np.ndarray]] = [
-            _transport(lam, w, d, trans_maps) for w in weight_copies
-        ]
-        digits = _digit_table_cached(d, n)
-        for ti in range(len(ts)):
-            for wi, copy_vecs in enumerate(per_tableau):
-                vec = copy_vecs[ti]
-                support = np.flatnonzero(np.abs(vec) > 1e-9)
-                mu = tuple(int((digits[support[0]] == a).sum()) for a in range(d))
+        weights, seeds = zip(*_su_d_copies(lam, v_top, d, n))
+        for ti, stack in enumerate(_transport(lam, np.stack(seeds), trans_maps)):
+            for wi, (mu, vec) in enumerate(zip(weights, stack)):
                 out.append(
                     YoungBasisVector(
                         shape=lam,

@@ -219,6 +219,30 @@ def test_resource_cap_exit(tmp_path, f_path):
     assert main(["fft", "--f", f_path, "--cap-factorial", "3"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--n", "3", "--d", "2", "--cap-dense", "5"],
+    ["dims", "--n", "3", "--d", "2", "--cap-factorial", "5"],
+    ["irrep", "--lambda", "2+1", "--perm", "(1 2)", "--cap-dense", "5"],
+    ["young-basis", "--n", "3", "--d", "2", "--cap-factorial", "5"],
+    ["bench", "--n-range", "4:4", "--cap-dense", "5"],
+    ["verify", "schur-weyl", "--cap-factorial", "5"],
+])
+def test_caps_only_where_a_command_reads_them(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments: --cap-" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["young-basis", "--n", "3", "--d", "2", "--cap-dense", "4"],
+    ["matelem", "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1", "--cap-dense", "8"],
+    ["bench", "--n-range", "4:4", "--cap-factorial", "3"],
+])
+def test_caps_are_read_where_kept(argv, f_path):
+    if argv[0] == "matelem":
+        argv = argv + ["--f", f_path]
+    assert main(argv) == 3
+
+
 def test_usage_errors():
     assert main([]) == 2
     assert main(["dims", "--n", "4"]) == 2  # missing --d

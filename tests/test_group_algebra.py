@@ -7,6 +7,7 @@ import pytest
 
 from snsim.errors import ResourceLimitError, SizeMismatchError
 from snsim.group_algebra import (
+    _k_local_permutations,
     add,
     algebra_element,
     convolution_theorem_check,
@@ -212,6 +213,46 @@ def test_is_hermitian_and_random_elements():
     assert not skew.is_hermitian()
     with pytest.raises(ValueError):
         random_hermitian_k_local(4, 1, 2, seed=0)
+
+
+def reference_random_hermitian_k_local(n, k, num_terms, seed):
+    """The draw as made before the pool was generated directly: the pool
+    filtered out of all of S_n."""
+    pool = [p for p in enumerate_sn(n) if 0 < locality(p) <= k]
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(pool), size=num_terms, replace=False)
+    out = {}
+    for idx in sorted(int(i) for i in chosen):
+        p = pool[idx]
+        c = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        out[p] = out.get(p, 0j) + 0.5 * c
+        out[p.inverse()] = out.get(p.inverse(), 0j) + 0.5 * c.conjugate()
+    return algebra_element(n, out)
+
+
+def test_k_local_pool_is_the_filtered_sn_in_lex_order():
+    for n in range(2, 8):
+        for k in range(2, n + 1):
+            expect = [p for p in enumerate_sn(n) if 0 < locality(p) <= k]
+            assert _k_local_permutations(n, k) == expect, (n, k)
+
+
+@pytest.mark.parametrize("n,k,num_terms,seed", [
+    (4, 3, 3, 11), (3, 2, 2, 4), (4, 3, 3, 2), (5, 3, 4, 0), (5, 2, 4, 3),
+    (6, 4, 10, 7), (7, 3, 20, 1), (5, 5, 30, 2)])
+def test_random_hermitian_k_local_draws_are_unchanged(n, k, num_terms, seed):
+    def hexed(f):
+        return [(p.images, c.real.hex(), c.imag.hex()) for p, c in f.terms]
+
+    got = random_hermitian_k_local(n, k, num_terms, seed=seed)
+    assert hexed(got) == hexed(reference_random_hermitian_k_local(n, k, num_terms, seed))
+
+
+def test_random_hermitian_k_local_past_enumerable_n(deadline):
+    deadline(5)
+    assert len(_k_local_permutations(16, 3)) == math.comb(16, 2) + 2 * math.comb(16, 3)
+    f = random_hermitian_k_local(16, 3, 6, seed=0)
+    assert f.is_hermitian() and f.locality <= 3 and f.n == 16
 
 
 def test_pi_tilde_of_hermitian_is_hermitian_and_bounded():

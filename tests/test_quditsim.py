@@ -15,6 +15,7 @@ from snsim.permutation import (
     span,
     transposition,
 )
+from snsim import quditsim
 from snsim.quditsim import (
     Statevector,
     apply_local_unitary_everywhere,
@@ -27,8 +28,8 @@ from snsim.quditsim import (
     swap_network,
     young_basis,
 )
-from snsim.yor import yor
-from snsim.young import weyl_dimension
+from snsim.yor import generator_tables, tableaux, yor
+from snsim.young import StandardTableau, enumerate_partitions, weyl_dimension
 
 
 def permute_oracle(amps, p, d):
@@ -182,7 +183,7 @@ def test_young_basis_jm_eigenvectors():
 
 
 def test_young_basis_weights_count_digits():
-    for n, d in [(4, 2), (3, 3)]:
+    for n, d in [(4, 2), (3, 3), (3, 4)]:
         for v in young_basis(n, d):
             nz = np.flatnonzero(np.abs(v.vector.amplitudes) > 1e-9)
             digit_counts = None
@@ -195,6 +196,88 @@ def test_young_basis_weights_count_digits():
                     # every contributing computational state shares the weight
                     assert counts == digit_counts
             assert digit_counts == v.weight
+
+
+def reference_transport(lam, seed_vec, trans_maps):
+    """Companion vectors of one weight copy, as built before the per-shape
+    stack: an index dict and StandardTableau.swap on every edge."""
+    ts = tableaux(lam)
+    index = {t: i for i, t in enumerate(ts)}
+    vecs = {0: seed_vec}
+    queue = [0]
+    while queue:
+        ti = queue.pop(0)
+        t = ts[ti]
+        for k in range(1, lam.n):
+            mate = t.swap(k)
+            if mate is None:
+                continue
+            mi = index[mate]
+            if mi in vecs:
+                continue
+            r = t.axial_distance(k)
+            swapped = vecs[ti][trans_maps[(k, k + 1)]]
+            vecs[mi] = (swapped - vecs[ti] / r) / np.sqrt(1.0 - 1.0 / (r * r))
+            queue.append(mi)
+    return [vecs[i] for i in range(len(ts))]
+
+
+def reference_young_basis(n, d):
+    """(shape, tableau index, weight index, weight, amplitudes) per vector,
+    built one weight copy at a time, each weight recounted from the digits
+    of the vector's first amplitude above 1e-9."""
+    trans_maps = {(i, k): permutation_index_map(transposition(n, i, k), d)
+                  for k in range(2, n + 1) for i in range(1, k)}
+    digits = quditsim._digit_table_cached(d, n)
+    out = []
+    for lam in enumerate_partitions(n, max_rows=min(n, d)):
+        v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n, trans_maps)
+        per_copy = [reference_transport(lam, vec, trans_maps)
+                    for _, vec in quditsim._su_d_copies(lam, v_top, d, n)]
+        for ti in range(len(tableaux(lam))):
+            for wi, copy_vecs in enumerate(per_copy):
+                vec = copy_vecs[ti]
+                first = np.flatnonzero(np.abs(vec) > 1e-9)[0]
+                mu = tuple(int((digits[first] == a).sum()) for a in range(d))
+                out.append((lam, ti, wi, mu, vec.astype(complex)))
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (8, 2), (4, 3), (5, 3), (4, 4)])
+def test_young_basis_matches_per_copy_build_bit_for_bit(n, d):
+    got = young_basis(n, d)
+    want = reference_young_basis(n, d)
+    assert len(got) == len(want) == d**n
+    for vec, (lam, ti, wi, mu, amps) in zip(got, want):
+        assert (vec.shape, vec.tableau_index, vec.weight_index, vec.weight) == (lam, ti, wi, mu)
+        assert vec.tableau == tableaux(lam)[ti]
+        assert vec.vector.amplitudes.tobytes() == amps.tobytes()
+
+
+def test_young_basis_transports_once_per_shape(monkeypatch):
+    n, d = 6, 3
+    shapes = list(enumerate_partitions(n, max_rows=d))
+    for lam in shapes:
+        generator_tables(lam)  # cached before the count below starts
+    calls, swaps = [], []
+    transport, swap = quditsim._transport, StandardTableau.swap
+
+    def recording_transport(lam, seeds, trans_maps):
+        calls.append((lam, seeds.shape))
+        return transport(lam, seeds, trans_maps)
+
+    def recording_swap(self, k):
+        swaps.append(k)
+        return swap(self, k)
+
+    monkeypatch.setattr(quditsim, "_transport", recording_transport)
+    monkeypatch.setattr(StandardTableau, "swap", recording_swap)
+    young_basis.cache_clear()
+    young_basis(n, d)
+    assert len(calls) == len(shapes) == 7
+    assert calls == [(lam, (weyl_dimension(lam, d), d**n)) for lam in shapes]
+    # partners come from the cached generator tables, not from the tableaux
+    assert swaps == []
 
 
 def test_young_basis_multiplicities_match_weyl_dimension():
