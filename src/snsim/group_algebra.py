@@ -190,6 +190,8 @@ class FourierCoefficients:
 
 
 def _check_factorial(n: int, cap: int):
+    if n < 1:
+        raise ValueError(f"need n >= 1 for a transform over S_n, got n={n}")
     if n > cap:
         raise ResourceLimitError(
             f"transform over S_{n} walks factorially many matrix entries; cap is n <= {cap}"

@@ -62,14 +62,13 @@ import numpy as np
 
 from .errors import (
     DEFAULT_CALL_FLOOR,
-    DEFAULT_DENSE_CAP,
     DEFAULT_TERM_CAP,
     DEFAULT_WORK_CAP,
     ResourceLimitError,
     SizeMismatchError,
 )
 from .permutation import Permutation, identity
-from .group_algebra import AlgebraElement, add, delta, pi_tilde_dense, scale
+from .group_algebra import AlgebraElement, add, delta, scale
 from .quditsim import Statevector, check_request, permutation_index_map, swap_network
 
 __all__ = [
@@ -81,9 +80,7 @@ __all__ = [
     "closed_form_segments",
     "closed_form_swap_gates",
     "closed_form_taylor_order",
-    "taylor_segment_operator",
     "build_segment",
-    "segment_dense",
     "run_segment",
     "matrix_element",
     "gate_count_report",
@@ -233,19 +230,6 @@ def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
     return pl
 
 
-def taylor_segment_operator(f: AlgebraElement, d: int, delta_t: float, taylor_k: int,
-                            cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """sum_{m<=K} (-i dt pi~(f))^m / m! as a dense matrix."""
-    ham = pi_tilde_dense(f, d, cap=cap)
-    dim = ham.shape[0]
-    acc = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for m in range(1, taylor_k + 1):
-        term = (-1j * delta_t / m) * (ham @ term)
-        acc += term
-    return acc
-
-
 def _perm_codes(images: np.ndarray) -> list[np.ndarray]:
     """The rows of 0-based one-line images as int64 keys, equal exactly
     when the rows are: each key is the base-n number of as many columns
@@ -384,14 +368,6 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         shift=shift,
         phase_correction=cmath.exp(1j * delta_t * shift),
     )
-
-
-def segment_dense(seg: LcuSegment, d: int, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """sum_j beta_j phase_j P(perm_j) as a dense matrix (no phase correction)."""
-    out = 0j
-    for term in seg.terms:
-        out = out + (term.beta * term.phase) * pi_tilde_dense(delta(term.perm), d, cap=cap)
-    return out
 
 
 def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:

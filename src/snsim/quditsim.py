@@ -10,9 +10,8 @@ to site p(q):
 so P(p)P(q) = P(pq) under the composition convention of `permutation`.
 
 The Young basis is built classically, one irreducible block at a time:
-the top-weight copy of each block is pinned down by refining the
-top-weight subspace into joint eigenspaces of the star transposition
-sums X_k = sum_{i<k} (i k) (integer eigenvalues = tableau contents),
+the top-weight copy of each block is the Young symmetrizer of its
+row-superstandard tableau applied to one basis state (no eigensolver),
 the remaining SU(d) copies are generated by lowering operators, and the
 companion tableau vectors are produced by the orthogonal-representation
 recurrence, so the S_n action on the result has exactly the matrix
@@ -240,25 +239,22 @@ def _compositions(n: int, d: int):
 
 def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int,
                        trans_maps: dict) -> np.ndarray:
-    """The unique top-weight state with the X_k eigenvalue profile of t0."""
-    dim = d**n
-    counts_target = lam.padded(d)
-    sel = np.flatnonzero((_digit_counts(d, n) == np.array(counts_target)).all(axis=1))
-    basis = np.zeros((dim, len(sel)))
-    basis[sel, np.arange(len(sel))] = 1.0
-    for k in range(2, n + 1):
-        image = np.zeros_like(basis)
-        for i in range(1, k):
-            image += basis[trans_maps[(i, k)]]
-        restricted = basis.T @ image
-        evals, evecs = np.linalg.eigh(restricted)
-        keep = np.abs(evals - t0.content(k)) < 0.25
-        if not keep.any():
-            raise RuntimeError(f"no X_{k} eigenvalue {t0.content(k)} in block {lam}")
-        basis = basis @ evecs[:, keep]
-    if basis.shape[1] != 1:
-        raise RuntimeError(f"top-weight space of {lam} not one-dimensional")
-    v = basis[:, 0]
+    """The top-weight vector of the row-superstandard tableau t0: its Young
+    symmetrizer a b applied to the state whose qudit k holds k's row.
+
+    The signed column sums b make a highest-weight vector of weight lam,
+    and the row sums a keep it in the lam block, on the one line of
+    row-invariant vectors there (Kostka number 1), where t0's vector of
+    `yor` lies. A sum over the permutations of entries c_1 < .. < c_m is
+    the product over k of (1 +- sum_{i<k} (c_i c_k)), one gather a term.
+    """
+    v = np.zeros(d**n)
+    v[sum((t0.position(k)[0] - 1) * d ** (n - k) for k in range(1, n + 1))] = 1.0
+    cols = [[row[c] for row in t0.rows if c < len(row)] for c in range(lam.parts[0])]
+    for sign, groups in ((-1.0, cols), (1.0, t0.rows)):
+        for group in groups:
+            for m in range(1, len(group)):
+                v = v + sign * sum(v[trans_maps[(i, group[m])]] for i in group[:m])
     return _canonical_sign(v / np.linalg.norm(v))
 
 

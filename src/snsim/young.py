@@ -226,6 +226,8 @@ def branching_down(shape: Partition) -> list[Partition]:
 
 def schur_weyl_dimension_check(n: int, d: int) -> tuple[bool, list[tuple[Partition, int, int]]]:
     """Per-shape (weyl_dim, hook_dim) table and the d**n completeness check."""
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     rows = []
     total = 0
     for lam in enumerate_partitions(n, max_rows=d):

@@ -55,6 +55,12 @@ def test_dims(tmp_path):
     assert shapes["4+2"]["product"] == 27
 
 
+@pytest.mark.parametrize("n,d", [("-2", "2"), ("0", "2"), ("4", "-1"), ("4", "0")])
+def test_dims_below_one_is_usage_error(n, d, capsys):
+    assert main(["dims", "--n", n, "--d", d]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_irrep(tmp_path):
     code, text = run_to_file(tmp_path, ["irrep", "--lambda", "2+1", "--perm", "(1 2)"])
     assert code == 0
@@ -208,6 +214,14 @@ def test_bench_json_format(tmp_path):
     row = doc["rows"][0]
     assert row["n"] == 4
     assert row["lcu_swap_gates"] <= row["closed_form_estimate"]
+
+
+def test_transforms_over_s0_are_usage_errors(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    table.write_text("[1.0]")
+    assert main(["bench", "--n-range", "0:1"]) == 2
+    assert main(["fft", "--table", str(table), "--n", "0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_exit_codes():

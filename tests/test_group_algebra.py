@@ -7,6 +7,7 @@ import pytest
 
 from snsim.errors import ResourceLimitError, SizeMismatchError
 from snsim.group_algebra import (
+    FourierCoefficients,
     _k_local_permutations,
     add,
     algebra_element,
@@ -186,6 +187,16 @@ def test_factorial_cap_enforced():
     assert nai.n == 4
     with pytest.raises(ResourceLimitError):
         fourier_naive(delta(identity(5)), cap=4)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_transforms_need_n_at_least_one(n):
+    with pytest.raises(ValueError):
+        fourier_naive(algebra_element(n, {}))
+    with pytest.raises(ValueError):
+        fourier_fft(np.ones(1), n)
+    with pytest.raises(ValueError):
+        fourier_inverse(FourierCoefficients(n, {}))
 
 
 def test_dense_cap_enforced():

@@ -25,8 +25,6 @@ from snsim.lcu import (
     matrix_element,
     plan,
     run_segment,
-    segment_dense,
-    taylor_segment_operator,
 )
 from snsim.pauli_expand import matrix_element_pauli
 from snsim.permutation import identity, parse_permutation, transposition
@@ -43,6 +41,26 @@ def heisenberg_like(n, scale_to=None):
     if scale_to is not None:
         f = scale(f, scale_to / f.one_norm)
     return f
+
+
+def taylor_segment_operator(f, d, delta_t, taylor_k):
+    """sum_{m<=K} (-i dt pi~(f))^m / m! as a dense matrix."""
+    ham = pi_tilde_dense(f, d)
+    dim = ham.shape[0]
+    acc = np.eye(dim, dtype=complex)
+    term = np.eye(dim, dtype=complex)
+    for m in range(1, taylor_k + 1):
+        term = (-1j * delta_t / m) * (ham @ term)
+        acc += term
+    return acc
+
+
+def segment_dense(seg, d):
+    """sum_j beta_j phase_j P(perm_j) as a dense matrix (no phase correction)."""
+    out = 0j
+    for term in seg.terms:
+        out = out + (term.beta * term.phase) * pi_tilde_dense(delta(term.perm), d)
+    return out
 
 
 def dense_expm(f, d, t):

@@ -170,7 +170,7 @@ def test_young_basis_block_diagonalizes_generators():
 
 def test_young_basis_jm_eigenvectors():
     # pi~(X_k) v = content_T(k) v for X_k = sum_{i<k} (i k)
-    for n, d in [(4, 2), (3, 3)]:
+    for n, d in [(4, 2), (3, 3), (8, 2), (5, 3)]:
         basis = young_basis(n, d)
         for k in range(2, n + 1):
             x_k = algebra_element(
@@ -196,6 +196,84 @@ def test_young_basis_weights_count_digits():
                     # every contributing computational state shares the weight
                     assert counts == digit_counts
             assert digit_counts == v.weight
+
+
+def transposition_maps(n, d):
+    return {(i, k): permutation_index_map(transposition(n, i, k), d)
+            for k in range(2, n + 1) for i in range(1, k)}
+
+
+def reference_top_weight_vector(lam, t0, d, n, trans_maps):
+    """The top-weight vector as found before the Young symmetrizer: the
+    weight-lam sector refined into joint eigenspaces of the star sums
+    X_k = sum_{i<k} (i k), keeping eigenvalue content_t0(k) for each k."""
+    sel = np.flatnonzero((quditsim._digit_counts(d, n) == np.array(lam.padded(d))).all(axis=1))
+    basis = np.zeros((d**n, len(sel)))
+    basis[sel, np.arange(len(sel))] = 1.0
+    for k in range(2, n + 1):
+        image = np.zeros_like(basis)
+        for i in range(1, k):
+            image += basis[trans_maps[(i, k)]]
+        evals, evecs = np.linalg.eigh(basis.T @ image)
+        basis = basis @ evecs[:, np.abs(evals - t0.content(k)) < 0.25]
+    assert basis.shape[1] == 1
+    v = basis[:, 0]
+    return quditsim._canonical_sign(v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (8, 2), (10, 2), (4, 3), (6, 3), (4, 4), (5, 4)])
+def test_top_weight_vector_matches_eigen_refinement(n, d):
+    trans_maps = transposition_maps(n, d)
+    for lam in enumerate_partitions(n, max_rows=min(n, d)):
+        t0 = tableaux(lam)[0]
+        got = quditsim._top_weight_vector(lam, t0, d, n, trans_maps)
+        want = reference_top_weight_vector(lam, t0, d, n, trans_maps)
+        assert np.max(np.abs(got - want)) <= 1e-12, lam
+
+
+def test_first_tableau_is_row_superstandard():
+    # the symmetrizer reads its rows and columns off tableaux(lam)[0]
+    shapes = 0
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n):
+            starts = itertools.accumulate(lam.parts[:-1], initial=0)
+            rows = tuple(tuple(range(s + 1, s + part + 1)) for s, part in zip(starts, lam.parts))
+            assert tableaux(lam)[0].rows == rows, lam
+            shapes += 1
+    assert shapes == 96
+
+
+def test_young_basis_calls_no_eigensolver(monkeypatch):
+    calls = []
+    for name in ("eigh", "eig", "svd"):
+        def recording(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    young_basis.cache_clear()
+    young_basis(8, 2)
+    young_basis(5, 3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,d", [(12, 2), (8, 3)])
+def test_young_basis_is_orthonormal_per_weight(n, d):
+    # vectors of different weights have disjoint supports, so one Gram
+    # matrix per weight sector checks what the full d^n x d^n one would
+    counts = quditsim._digit_counts(d, n)
+    by_weight: dict = {}
+    for v in young_basis(n, d):
+        by_weight.setdefault(v.weight, []).append(v.vector.amplitudes)
+    young_basis.cache_clear()  # the basis at this size holds hundreds of MB
+    worst = 0.0
+    for mu, vecs in by_weight.items():
+        inside = (counts == mu).all(axis=1)
+        mat = np.array(vecs)
+        assert not mat[:, ~inside].any(), mu
+        block = mat[:, inside]
+        worst = max(worst, float(np.abs(block.conj() @ block.T - np.eye(len(vecs))).max()))
+    assert worst <= 1e-12
 
 
 def reference_transport(lam, seed_vec, trans_maps):
@@ -226,8 +304,7 @@ def reference_young_basis(n, d):
     """(shape, tableau index, weight index, weight, amplitudes) per vector,
     built one weight copy at a time, each weight recounted from the digits
     of the vector's first amplitude above 1e-9."""
-    trans_maps = {(i, k): permutation_index_map(transposition(n, i, k), d)
-                  for k in range(2, n + 1) for i in range(1, k)}
+    trans_maps = transposition_maps(n, d)
     digits = quditsim._digit_table_cached(d, n)
     out = []
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
@@ -405,7 +482,7 @@ def chain(n):
 
 
 def test_sector_oracle_solves_only_the_shared_sector(monkeypatch):
-    basis = young_basis(10, 2)  # built before eigh is wrapped: it calls eigh itself
+    basis = young_basis(10, 2)
     pair = [vec for vec in basis if vec.weight == (5, 5)][:2]
     shapes = []
     full = np.linalg.eigh

@@ -174,3 +174,9 @@ def test_schur_weyl_sums():
         ok, rows = schur_weyl_dimension_check(n, d)
         assert ok
         assert sum(w * s for _, w, s in rows) == d**n
+
+
+@pytest.mark.parametrize("n,d", [(0, 2), (-2, 2), (4, 0), (4, -1)])
+def test_schur_weyl_check_needs_n_and_d_at_least_one(n, d):
+    with pytest.raises(ValueError):
+        schur_weyl_dimension_check(n, d)
