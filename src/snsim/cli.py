@@ -46,7 +46,13 @@ from .permutation import (
     parse_permutation,
     transposition,
 )
-from .quditsim import exact_matrix_element, young_basis
+from .quditsim import (
+    check_young_label,
+    check_young_size,
+    irrep_matrix_element,
+    young_basis,
+    young_vector,
+)
 from .verify import run_suite
 from .yor import yor
 from .young import enumerate_partitions, parse_partition, schur_weyl_dimension_check
@@ -232,28 +238,25 @@ def cmd_young_basis(args) -> int:
 def cmd_matelem(args) -> int:
     f = _load_element(args.f)
     n, d = f.n, args.d
-    basis = young_basis(n, d, cap=args.cap_dense)
-    lookup = {(str(v.shape), v.tableau_index, v.weight_index): v for v in basis}
+    check_young_size(n, d, cap=args.cap_dense)
 
     def pick(label: str):
         shape, ti, wi = _parse_basis_label(label)
-        key = (str(shape), ti, wi)
-        if key not in lookup:
-            raise ValueError(f"no Young basis vector {key} for n={n}, d={d}")
-        return lookup[key]
+        check_young_label(n, d, shape, ti, wi)
+        return shape, ti, wi
 
-    u, v = pick(args.u), pick(args.v)
-    oracle = exact_matrix_element(u, v, f, args.t, cap=args.cap_dense)
+    u_label, v_label = pick(args.u), pick(args.v)
+    oracle = irrep_matrix_element(u_label, v_label, f, args.t)
 
     if args.method == "exact":
         value = oracle
         m_seg = taylor_k = swaps = 0
         closed = 0.0
-    elif args.method == "lcu-swap":
-        value, report = lcu.matrix_element(u, v, f, args.t, args.eps)
-        m_seg, taylor_k, swaps, closed = report.M, report.K, report.actual, report.closed_form
     else:
-        value, report = matrix_element_pauli(u, v, f, args.t, args.eps)
+        u = young_vector(n, d, *u_label, cap=args.cap_dense)
+        v = u if v_label == u_label else young_vector(n, d, *v_label, cap=args.cap_dense)
+        route = lcu.matrix_element if args.method == "lcu-swap" else matrix_element_pauli
+        value, report = route(u, v, f, args.t, args.eps)
         m_seg, taylor_k, swaps, closed = report.M, report.K, report.actual, report.closed_form
 
     record = {

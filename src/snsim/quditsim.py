@@ -17,13 +17,21 @@ companion tableau vectors are produced by the orthogonal-representation
 recurrence, so the S_n action on the result has exactly the matrix
 elements of `yor`. It runs once per block on the stacked weight copies,
 one gather per tableau exchange edge of `yor.generator_tables`, and every
-vector keeps the weight its copy was built at.
+vector keeps the weight its copy was built at. `young_basis` builds every
+block; `young_vector` builds one member by the same steps on its block
+alone, transporting only its own weight copy, and equals the matching
+`young_basis` member bit for bit.
 
-The exact oracle builds the dense operator pi~(f) but never solves it
-whole: a permutation keeps each digit's count, so pi~(f) is block
-diagonal over the weight sectors of (C^d)^(x n), and only the sectors
-where both vectors have support are diagonalized. A Young-basis vector
-lies in one sector, of dimension at most C(n, n/2) at d = 2.
+Two oracles give <u| exp(-it pi~(f)) |v>. `exact_matrix_element` takes
+any two statevectors: it builds the dense operator pi~(f) but never
+solves it whole, since a permutation keeps each digit's count, so
+pi~(f) is block diagonal over the weight sectors of (C^d)^(x n), and
+only the sectors where both vectors have support are diagonalized. A
+Young-basis vector lies in one sector, of dimension at most C(n, n/2)
+at d = 2. `irrep_matrix_element` takes two Young labels and builds no
+d^n vector: by Schur-Weyl duality the element is
+delta_{ww'} [exp(-it rho_lam(f))]_{t,t'} with rho_lam(f) = sum c_p yor(lam, p),
+a dim(lam) x dim(lam) matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import numpy as np
 from .errors import DEFAULT_DENSE_CAP, ResourceLimitError, SizeMismatchError
 from .permutation import Permutation, adjacent_word, transposition
 from .young import Partition, StandardTableau, enumerate_partitions, weyl_dimension
-from .yor import generator_tables, tableaux as _tableaux
+from .yor import dimension, generator_tables, tableaux as _tableaux, yor
 
 if TYPE_CHECKING:
     from .group_algebra import AlgebraElement
@@ -54,9 +62,18 @@ __all__ = [
     "replay_swap_network",
     "apply_local_unitary_everywhere",
     "young_basis",
+    "young_vector",
+    "check_young_size",
+    "check_young_label",
     "check_request",
     "exact_matrix_element",
+    "irrep_matrix_element",
 ]
+
+
+def _check_register(d: int, n: int) -> None:
+    if d < 2 or n < 1:
+        raise ValueError(f"need d >= 2, n >= 1: got d={d}, n={n}")
 
 
 def _check_dense(d: int, n: int, cap: int) -> int:
@@ -78,8 +95,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.d < 2 or self.n < 1:
-            raise ValueError(f"need d >= 2, n >= 1: got d={self.d}, n={self.n}")
+        _check_register(self.d, self.n)
         if self.amplitudes.shape != (self.d**self.n,):
             raise SizeMismatchError(
                 f"amplitude array of shape {self.amplitudes.shape} does not match d^n = {self.d**self.n}"
@@ -322,6 +338,64 @@ def _transport(lam: Partition, seeds: np.ndarray, trans_maps: dict) -> list[np.n
     return [vecs[i] for i in range(len(ts))]
 
 
+def check_young_size(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> int:
+    """d^n, once n >= 1 qudits of dimension d >= 2 are asked for and d^n
+    is within `cap`; both Young builders check here before allocating."""
+    _check_register(d, n)
+    return _check_dense(d, n, cap)
+
+
+def check_young_label(n: int, d: int, shape: Partition, tableau_index: int,
+                      weight_index: int) -> None:
+    """ValueError unless young_basis(n, d) has a member with this label:
+    a shape of n with at most d rows, a tableau index below dim(shape)
+    and a weight index below the Weyl dimension of shape at d. A negative
+    index is refused, not wrapped."""
+    _check_register(d, n)
+    if not (shape in enumerate_partitions(n, max_rows=min(n, d))
+            and 0 <= tableau_index < dimension(shape)
+            and 0 <= weight_index < weyl_dimension(shape, d)):
+        raise ValueError(
+            f"no Young basis vector {(str(shape), tableau_index, weight_index)} "
+            f"for n={n}, d={d}"
+        )
+
+
+def _transposition_maps(n: int, d: int) -> dict[tuple[int, int], np.ndarray]:
+    """`permutation_index_map` of every transposition (i k), i < k, keyed
+    (i, k), each in one pass: exchanging digits i and k moves index j
+    by (j_k - j_i)(d^(n-i) - d^(n-k))."""
+    digits = _digit_table_cached(d, n)
+    index = np.arange(d**n)
+    return {
+        (i, k): index + (digits[:, k - 1] - digits[:, i - 1]) * (d ** (n - i) - d ** (n - k))
+        for k in range(2, n + 1)
+        for i in range(1, k)
+    }
+
+
+def _block(lam: Partition, d: int, n: int, trans_maps: dict,
+           copies: slice = slice(None)) -> tuple[tuple, list[np.ndarray]]:
+    """The weights of block lam's copies, and per tableau the stack of
+    its vectors for the copies that `copies` selects; a row's values do
+    not depend on which other rows are transported with it."""
+    v_top = _top_weight_vector(lam, _tableaux(lam)[0], d, n, trans_maps)
+    weights, seeds = zip(*_su_d_copies(lam, v_top, d, n))
+    return weights, _transport(lam, np.stack(seeds)[copies], trans_maps)
+
+
+def _member(lam: Partition, ti: int, wi: int, weight: tuple, vec: np.ndarray,
+            d: int, n: int) -> YoungBasisVector:
+    return YoungBasisVector(
+        shape=lam,
+        tableau=_tableaux(lam)[ti],
+        tableau_index=ti,
+        weight_index=wi,
+        weight=weight,
+        vector=Statevector(d, n, vec.astype(complex)),
+    )
+
+
 @functools.lru_cache(maxsize=4)
 def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasisVector, ...]:
     """Complete orthonormal basis of (C^d)^(x n), one vector per
@@ -330,32 +404,29 @@ def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasi
     Ordered by shape (reverse-lexicographic), then tableau (last-letter
     order), then weight index.
     """
-    _check_dense(d, n, cap)
-    trans_maps = {
-        (i, k): permutation_index_map(transposition(n, i, k), d)
-        for k in range(2, n + 1)
-        for i in range(1, k)
-    }
+    check_young_size(n, d, cap)
+    trans_maps = _transposition_maps(n, d)
     out: list[YoungBasisVector] = []
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
-        ts = _tableaux(lam)
-        v_top = _top_weight_vector(lam, ts[0], d, n, trans_maps)
-        weights, seeds = zip(*_su_d_copies(lam, v_top, d, n))
-        for ti, stack in enumerate(_transport(lam, np.stack(seeds), trans_maps)):
+        weights, stacks = _block(lam, d, n, trans_maps)
+        for ti, stack in enumerate(stacks):
             for wi, (mu, vec) in enumerate(zip(weights, stack)):
-                out.append(
-                    YoungBasisVector(
-                        shape=lam,
-                        tableau=ts[ti],
-                        tableau_index=ti,
-                        weight_index=wi,
-                        weight=mu,
-                        vector=Statevector(d, n, vec.astype(complex)),
-                    )
-                )
+                out.append(_member(lam, ti, wi, mu, vec, d, n))
     if len(out) != d**n:
         raise RuntimeError(f"basis has {len(out)} vectors, expected {d**n}")
     return tuple(out)
+
+
+def young_vector(n: int, d: int, shape: Partition, tableau_index: int, weight_index: int,
+                 cap: int = DEFAULT_DENSE_CAP) -> YoungBasisVector:
+    """The member of young_basis(n, d) with this label, equal to it bit
+    for bit, built from its own block alone: only its weight copy is
+    transported. Nothing is kept between calls."""
+    check_young_size(n, d, cap)
+    check_young_label(n, d, shape, tableau_index, weight_index)
+    wi = weight_index
+    weights, stacks = _block(shape, d, n, _transposition_maps(n, d), slice(wi, wi + 1))
+    return _member(shape, tableau_index, wi, weights[wi], stacks[tableau_index][0], d, n)
 
 
 def check_request(u, v, f: "AlgebraElement") -> tuple[Statevector, Statevector]:
@@ -403,3 +474,30 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
         b = evecs.conj().T @ su.amplitudes[rows]
         value += complex(np.vdot(b, np.exp(-1j * t * evals) * a))
     return value
+
+
+def irrep_matrix_element(u, v, f: "AlgebraElement", t: float) -> complex:
+    """<u| exp(-it pi~(f)) |v> for Young labels u and v, each a
+    (shape, tableau index, weight index) triple, read off the irrep
+    block with no d^n vector built.
+
+    By Schur-Weyl duality the element is delta_{ww'} [exp(-it rho)]_{t,t'}
+    with rho = sum_p c_p yor(shape, p), solved by `eigh` at dim(shape),
+    and 0j across shapes or weight indices. f must be Hermitian and t
+    finite, as for `exact_matrix_element`; `check_young_label` checks
+    the labels, which needs d.
+    """
+    (lam, ti, wi), (lam_v, tj, wj) = u, v
+    if not f.n == lam.n == lam_v.n:
+        raise SizeMismatchError(f"element on S_{f.n} vs shapes {lam} and {lam_v}")
+    if not f.is_hermitian():
+        raise ValueError("element is not Hermitian")
+    if not math.isfinite(t):
+        raise ValueError(f"need finite t, got {t}")
+    if (lam, wi) != (lam_v, wj):
+        return 0j
+    rho = np.zeros((dimension(lam),) * 2, dtype=complex)
+    for p, c in f.terms:
+        rho += c * yor(lam, p)
+    evals, evecs = np.linalg.eigh(rho)
+    return complex(evecs[ti] @ (np.exp(-1j * t * evals) * evecs[tj].conj()))

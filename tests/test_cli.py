@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,9 +151,106 @@ def test_matelem_parenthesized_label(tmp_path, f_path):
     assert json.loads(text)["method"] == "exact"
 
 
-def test_matelem_bad_label_is_usage_error(f_path):
+def test_matelem_bad_label_is_usage_error(f_path, capsys):
     assert main(["matelem", "--f", f_path, "--u", "junk", "--v", "3+1:0:0", "--t", "1.0"]) == 2
     assert main(["matelem", "--f", f_path, "--u", "9+1:0:0", "--v", "3+1:0:0", "--t", "1.0"]) == 2
+    capsys.readouterr()
+    # out of range at n=4, d=2: a negative index is refused, not wrapped
+    for label, key in [("3+1:-1:0", "('3+1', -1, 0)"), ("3+1:3:0", "('3+1', 3, 0)"),
+                       ("3+1:0:9", "('3+1', 0, 9)"), ("2+1+1:0:0", "('2+1+1', 0, 0)")]:
+        for argv in (["--u", label, "--v", "3+1:0:0"], ["--u", "3+1:0:0", "--v", label]):
+            for method in ("exact", "lcu-swap"):
+                assert main(["matelem", "--f", f_path, "--t", "1.0", "--method", method]
+                            + argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: no Young basis vector {key} for n=4, d=2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["young-basis", "--n", "0", "--d", "2"],
+    ["young-basis", "--n", "-1", "--d", "2"],
+    ["young-basis", "--n", "3", "--d", "0"],
+    ["young-basis", "--n", "3", "--d", "-2"],
+    ["matelem", "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1", "--d", "-1"],
+    ["matelem", "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1", "--d", "1", "--method", "exact"],
+])
+def test_register_below_two_levels_or_one_qudit_is_usage_error(argv, f_path, capsys):
+    if argv[0] == "matelem":
+        argv = argv + ["--f", f_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need d >= 2, n >= 1: ")
+
+
+def counting(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.fixture()
+def matelem_calls(monkeypatch):
+    """Names of the basis builders and dense-oracle pieces that matelem calls."""
+    from snsim import cli, group_algebra, quditsim
+
+    calls = []
+    for module, name in [(quditsim, "young_basis"), (cli, "young_basis"),
+                         (quditsim, "young_vector"), (cli, "young_vector"),
+                         (quditsim, "exact_matrix_element"),
+                         (group_algebra, "pi_tilde_dense")]:
+        counting(monkeypatch, calls, module, name)
+    return calls
+
+
+def test_matelem_exact_builds_no_statevector(f_path, matelem_calls, capsys):
+    for pair in (["3+1:0:0", "3+1:1:0"], ["3+1:0:0", "2+2:0:0"], ["3+1:0:0", "3+1:0:1"]):
+        argv = ["matelem", "--f", f_path, "--u", pair[0], "--v", pair[1], "--t", "1.0",
+                "--method", "exact"]
+        assert main(argv) == 0
+    assert matelem_calls == []
+    # across shapes or weight copies the element is exactly zero
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["value_re"], r["value_im"]) for r in records[1:]] == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("method", ["lcu-swap", "lcu-pauli"])
+def test_matelem_lcu_builds_only_the_labelled_vectors(method, tmp_path, f_path, matelem_calls):
+    base = ["matelem", "--f", f_path, "--t", "1.0", "--eps", "1e-3", "--method", method]
+    assert run_to_file(tmp_path, base + ["--u", "3+1:0:0", "--v", "3+1:1:0"])[0] == 0
+    assert matelem_calls == ["young_vector", "young_vector"]
+    matelem_calls.clear()
+    assert run_to_file(tmp_path, base + ["--u", "3+1:1:0", "--v", "(3+1, 1, 0)"])[0] == 0
+    assert matelem_calls == ["young_vector"]
+
+
+# value_*, M, K, swap_count and closed_form_estimate of the README chain
+# pair, as printed before the oracle moved to the irrep block
+README_CHAIN_LCU = {
+    "lcu-swap": '"value_re":-0.18074314480472201,"value_im":-0.41266964651596189,'
+                '"M":2,"K":8,"swap_count":48,"closed_form_estimate":308.8031780540104',
+    "lcu-pauli": '"value_re":-0.1807431485802114,"value_im":-0.41266966483361001,'
+                 '"M":4,"K":8,"swap_count":96,"closed_form_estimate":77.200794513502601',
+}
+
+
+@pytest.mark.parametrize("method", sorted(README_CHAIN_LCU))
+def test_matelem_lcu_record_pinned(method, tmp_path, f_path):
+    code, text = run_to_file(tmp_path, ["matelem", "--f", f_path, "--u", "3+1:0:0",
+                                        "--v", "3+1:1:0", "--t", "1.0", "--eps", "1e-4",
+                                        "--method", method])
+    assert code == 0
+    fields = re.findall(r'"(value_re|value_im|M|K|swap_count|closed_form_estimate)":([^,}]+)',
+                        text)
+    assert ",".join(f'"{k}":{v}' for k, v in fields) == README_CHAIN_LCU[method]
+    doc = json.loads(text)
+    oracle = complex(-0.18074321015025777, -0.4126696857564669)
+    assert abs(complex(doc["oracle_re"], doc["oracle_im"]) - oracle) <= 1e-12
 
 
 def test_matelem_bad_eps_is_usage_error(f_path, deadline):

@@ -22,14 +22,22 @@ from snsim.quditsim import (
     apply_permutation,
     basis_state,
     exact_matrix_element,
+    irrep_matrix_element,
     permutation_index_map,
     permutation_matrix,
     replay_swap_network,
     swap_network,
     young_basis,
+    young_vector,
 )
 from snsim.yor import generator_tables, tableaux, yor
-from snsim.young import StandardTableau, enumerate_partitions, weyl_dimension
+from snsim.young import (
+    Partition,
+    StandardTableau,
+    enumerate_partitions,
+    parse_partition,
+    weyl_dimension,
+)
 
 
 def permute_oracle(amps, p, d):
@@ -355,6 +363,141 @@ def test_young_basis_transports_once_per_shape(monkeypatch):
     assert calls == [(lam, (weyl_dimension(lam, d), d**n)) for lam in shapes]
     # partners come from the cached generator tables, not from the tableaux
     assert swaps == []
+
+
+def same_member(got, want):
+    assert (got.label(), got.shape, got.tableau, got.tableau_index, got.weight_index,
+            got.weight) == (want.label(), want.shape, want.tableau, want.tableau_index,
+                            want.weight_index, want.weight)
+    assert got.vector.amplitudes.tobytes() == want.vector.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (8, 2), (4, 3), (5, 3), (4, 4)])
+def test_young_vector_is_the_basis_member_bit_for_bit(n, d):
+    for want in young_basis(n, d):
+        same_member(young_vector(n, d, want.shape, want.tableau_index, want.weight_index), want)
+
+
+def test_young_vector_matches_sampled_members_at_n10():
+    basis = young_basis(10, 2)
+    rng = np.random.default_rng(10)
+    for i in rng.choice(len(basis), size=24, replace=False):
+        want = basis[int(i)]
+        same_member(young_vector(10, 2, want.shape, want.tableau_index, want.weight_index), want)
+
+
+def test_young_vector_builds_one_block_and_one_copy(monkeypatch):
+    n, d = 6, 3
+    calls = []
+    transport = quditsim._transport
+
+    def recording_transport(lam, seeds, trans_maps):
+        calls.append((lam, seeds.shape))
+        return transport(lam, seeds, trans_maps)
+
+    monkeypatch.setattr(quditsim, "_transport", recording_transport)
+    lam = enumerate_partitions(n, max_rows=d)[3]
+    first = young_vector(n, d, lam, 2, 1)
+    second = young_vector(n, d, lam, 2, 1)
+    assert calls == [(lam, (1, d**n))] * 2  # nothing is kept between calls
+    assert first.vector.amplitudes is not second.vector.amplitudes
+
+
+def test_transposition_maps_match_permutation_index_map():
+    for n, d in [(1, 2), (2, 2), (5, 3), (7, 2), (4, 4)]:
+        maps = quditsim._transposition_maps(n, d)
+        assert sorted(maps) == [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]
+        for (i, k), g in maps.items():
+            assert np.array_equal(g, permutation_index_map(transposition(n, i, k), d))
+
+
+@pytest.mark.parametrize("n,d", [(0, 2), (-1, 2), (3, 1), (3, 0), (3, -2), (0, 0)])
+def test_young_builders_refuse_an_empty_register(n, d, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the argument check")
+
+    monkeypatch.setattr(quditsim.np, "zeros", no_allocation)
+    young_basis.cache_clear()
+    with pytest.raises(ValueError, match="need d >= 2, n >= 1"):
+        young_basis(n, d)
+    with pytest.raises(ValueError, match="need d >= 2, n >= 1"):
+        young_vector(n, d, Partition((3,)), 0, 0)
+
+
+@pytest.mark.parametrize("label", [("3+1", -1, 0), ("3+1", 3, 0), ("3+1", 0, 9),
+                                   ("3+1", 0, -1), ("2+1+1", 0, 0), ("3+2", 0, 0)])
+def test_young_vector_refuses_labels_outside_the_basis(label):
+    shape, ti, wi = parse_partition(label[0]), label[1], label[2]
+    with pytest.raises(ValueError, match=r"no Young basis vector .* for n=4, d=2"):
+        young_vector(4, 2, shape, ti, wi)
+
+
+def test_young_vector_checks_the_cap_first():
+    with pytest.raises(ResourceLimitError):
+        young_vector(15, 2, Partition((15,)), 0, 0)
+    with pytest.raises(ResourceLimitError):
+        young_vector(15, 2, Partition((99,)), 0, 0)
+
+
+def label(vec):
+    return vec.shape, vec.tableau_index, vec.weight_index
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_irrep_oracle_matches_dense_oracle_on_every_same_shape_pair(d):
+    n = 4
+    f = random_hermitian_k_local(n, 3, 4, seed=40 + d)
+    basis = young_basis(n, d)
+    for u, v in itertools.product(basis, repeat=2):
+        if u.shape != v.shape:
+            continue
+        for t in (0.0, 0.9, -2.3):
+            got = irrep_matrix_element(label(u), label(v), f, t)
+            assert abs(got - exact_matrix_element(u, v, f, t)) <= 1e-12
+            if t == 0.0:
+                assert abs(got - float(label(u) == label(v))) <= 1e-12
+
+
+@pytest.mark.parametrize("n,d,seed", [(10, 2, 3), (6, 3, 4)])
+def test_irrep_oracle_matches_dense_oracle_on_sampled_pairs(n, d, seed):
+    # every term of this element moves at most 3 points: enumerating S_n
+    # itself, as random_hermitian_k_local does, is too slow at n = 10
+    rng = np.random.default_rng(seed)
+    terms = {}
+    for i in range(6):
+        a, b, c = (int(x) + 1 for x in rng.choice(n, size=3, replace=False))
+        cyc = parse_permutation(f"({a} {b} {c})", n=n) if i % 2 else transposition(n, a, b)
+        coeff = complex(rng.standard_normal(), rng.standard_normal() * (i % 2))
+        terms[cyc] = terms.get(cyc, 0j) + coeff
+        terms[cyc.inverse()] = terms.get(cyc.inverse(), 0j) + coeff.conjugate()
+    f = algebra_element(n, terms)
+    basis = young_basis(n, d)
+    by_shape: dict = {}
+    for vec in basis:
+        by_shape.setdefault(vec.shape, []).append(vec)
+    for lam, members in by_shape.items():
+        for _ in range(4):
+            u, v = (members[int(i)] for i in rng.integers(len(members), size=2))
+            for t in (0.0, 1.3):
+                got = irrep_matrix_element(label(u), label(v), f, t)
+                assert abs(got - exact_matrix_element(u, v, f, t)) <= 1e-12, (u.label(), v.label())
+    # across shapes the element is exactly zero
+    u, v = basis[0], basis[-1]
+    assert u.shape != v.shape
+    assert irrep_matrix_element(label(u), label(v), f, 1.3) == 0j
+
+
+def test_irrep_oracle_checks_its_request():
+    f = algebra_element(4, {transposition(4, 1, 2): 0.5})
+    lam = Partition((3, 1))
+    skew = algebra_element(4, {parse_permutation("(1 2 3)", n=4): 1.0})
+    with pytest.raises(ValueError, match="not Hermitian"):
+        irrep_matrix_element((lam, 0, 0), (Partition((4,)), 0, 0), skew, 1.0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="need finite t"):
+            irrep_matrix_element((lam, 0, 0), (lam, 1, 1), f, t)
+    with pytest.raises(SizeMismatchError):
+        irrep_matrix_element((Partition((2, 1)), 0, 0), (Partition((2, 1)), 0, 0), f, 1.0)
 
 
 def test_young_basis_multiplicities_match_weyl_dimension():
