@@ -429,10 +429,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: argparse keeps no state between parse_args calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -39,8 +39,6 @@ __all__ = [
     "pauli_identity",
     "pauli_sum",
     "multiply_strings",
-    "add_sums",
-    "scale_sum",
     "multiply_sums",
     "transposition_to_pauli",
     "permutation_to_pauli",
@@ -164,19 +162,6 @@ def pauli_sum(n: int, mapping) -> PauliSum:
     return PauliSum(n, terms)
 
 
-def add_sums(a: PauliSum, b: PauliSum) -> PauliSum:
-    if a.n != b.n:
-        raise SizeMismatchError(f"sums on {a.n} vs {b.n} qubits")
-    out: dict[PauliString, complex] = dict(a.terms)
-    for ps, c in b.terms:
-        out[ps] = out.get(ps, 0j) + c
-    return pauli_sum(a.n, out)
-
-
-def scale_sum(a: PauliSum, z: complex) -> PauliSum:
-    return pauli_sum(a.n, {ps: z * c for ps, c in a.terms})
-
-
 def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
     if a.n != b.n:
         raise SizeMismatchError(f"sums on {a.n} vs {b.n} qubits")
@@ -207,10 +192,11 @@ def permutation_to_pauli(p: Permutation) -> PauliSum:
 
 
 def element_to_pauli(f: AlgebraElement) -> PauliSum:
-    acc = pauli_sum(f.n, {})
+    acc: dict[PauliString, complex] = {}
     for p, c in f.terms:
-        acc = add_sums(acc, scale_sum(permutation_to_pauli(p), c))
-    return acc
+        for ps, e in permutation_to_pauli(p).terms:
+            acc[ps] = acc.get(ps, 0j) + c * e
+    return pauli_sum(f.n, acc)
 
 
 _SINGLE = {
@@ -320,7 +306,7 @@ def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
         return su.inner(sv), report
 
     pl = _schedule(g.one_norm, g.coefficient(pauli_identity(f.n)).real, t, epsilon)
-    shifted = add_sums(g, pauli_sum(f.n, {pauli_identity(f.n): pl.shift}))
+    shifted = pauli_sum(f.n, [*g.terms, (pauli_identity(f.n), pl.shift)])
     gathers, weights = _flip_mask_groups(shifted)
     _check_work(pl.M, pl.K, len(gathers), su.amplitudes.size)
     fast = _FastSegment(gathers, np.ones(len(gathers)), weights, pl)

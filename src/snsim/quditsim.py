@@ -23,13 +23,13 @@ alone, transporting only its own weight copy, and equals the matching
 `young_basis` member bit for bit.
 
 Two oracles give <u| exp(-it pi~(f)) |v>. `exact_matrix_element` takes
-any two statevectors: it builds the dense operator pi~(f) but never
-solves it whole, since a permutation keeps each digit's count, so
-pi~(f) is block diagonal over the weight sectors of (C^d)^(x n), and
-only the sectors where both vectors have support are diagonalized. A
-Young-basis vector lies in one sector, of dimension at most C(n, n/2)
-at d = 2. `irrep_matrix_element` takes two Young labels and builds no
-d^n vector: by Schur-Weyl duality the element is
+any two statevectors. A permutation keeps each digit's count, so pi~(f)
+is block diagonal over the weight sectors of (C^d)^(x n); the oracle
+builds and diagonalizes only the blocks of sectors where both vectors
+have support, never the d^n x d^n operator. A Young-basis vector lies
+in one sector, of dimension at most C(n, n/2) at d = 2.
+`irrep_matrix_element` takes two Young labels and builds no d^n
+vector: by Schur-Weyl duality the element is
 delta_{ww'} [exp(-it rho_lam(f))]_{t,t'} with rho_lam(f) = sum c_p yor(lam, p),
 a dim(lam) x dim(lam) matrix.
 """
@@ -114,14 +114,14 @@ class Statevector:
 def basis_state(d: int, n: int, digits) -> Statevector:
     """Computational basis state; `digits` is an index or a digit list."""
     dim = d**n
-    if isinstance(digits, int):
-        index = digits
+    if isinstance(digits, (int, np.integer)):
+        # a negative index is refused, not wrapped; True is index 1, not a mask
+        valid, index = 0 <= digits < dim, int(digits)
     else:
-        if len(digits) != n or any(not 0 <= j < d for j in digits):
-            raise ValueError(f"digits {digits} invalid for d={d}, n={n}")
-        index = 0
-        for j in digits:
-            index = index * d + j
+        valid = len(digits) == n and all(0 <= j < d for j in digits)
+        index = sum(j * d ** (n - q) for q, j in enumerate(digits, start=1))
+    if not valid:
+        raise ValueError(f"digits {digits} invalid for d={d}, n={n}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return Statevector(d, n, amps)
@@ -452,16 +452,16 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
     Every P(p) keeps the digit counts of a basis state, so pi~(f) is
     block diagonal over the weight sectors and so is its exponential.
     Only a sector where both u and v have support adds to the element;
-    each such sector's block of the dense operator is solved by `eigh`,
-    and u and v sharing none gives 0j. u and v may be YoungBasisVector
-    or raw Statevector values; t must be finite.
+    its block is built from the support's index maps restricted to the
+    sector's rows and solved by `eigh`, and u and v sharing none gives
+    0j. No d^n x d^n operator is built; d^n above `cap` is refused. u and
+    v may be YoungBasisVector or raw Statevector values; t must be finite.
     """
-    from .group_algebra import pi_tilde_dense  # deferred: two-way module pair
-
     su, sv = check_request(u, v, f)
     if not math.isfinite(t):
         raise ValueError(f"need finite t, got {t}")
-    ham = pi_tilde_dense(f, su.d, cap=cap)
+    _check_dense(su.d, su.n, cap)
+    maps = [(permutation_index_map(p, su.d), c) for p, c in f.terms]
     # one integer per weight: the digit counts read in base n + 1
     code = _digit_counts(su.d, su.n) @ (su.n + 1) ** np.arange(su.d)
     value = 0j
@@ -469,7 +469,11 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
     # one sector with disjoint supports still couple through it
     for sector in np.intersect1d(code[su.amplitudes != 0], code[sv.amplitudes != 0]):
         rows = np.flatnonzero(code == sector)
-        evals, evecs = np.linalg.eigh(ham[np.ix_(rows, rows)])
+        # the terms in f's order from 0j, as `pi_tilde_dense` sums them
+        block = np.zeros((len(rows), len(rows)), dtype=complex)
+        for g, c in maps:
+            block[np.arange(len(rows)), np.searchsorted(rows, g[rows])] += c
+        evals, evecs = np.linalg.eigh(block)
         a = evecs.conj().T @ sv.amplitudes[rows]
         b = evecs.conj().T @ su.amplitudes[rows]
         value += complex(np.vdot(b, np.exp(-1j * t * evals) * a))

@@ -358,3 +358,27 @@ def test_caps_are_read_where_kept(argv, f_path):
 def test_usage_errors():
     assert main([]) == 2
     assert main(["dims", "--n", "4"]) == 2  # missing --d
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, f_path, capsys):
+    from snsim import cli
+
+    calls = []
+    counting(monkeypatch, calls, cli, "_build_parser")
+    assert main(["dims", "--n", "3", "--d", "2"]) == 0
+    assert main(["matelem", "--f", f_path, "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1.0",
+                 "--method", "exact"]) == 0
+    assert main(["dims", "--n", "3"]) == 2
+    assert calls == []
+
+
+def test_matelem_output_repeats_across_a_usage_error(f_path, capsys):
+    argv = ["matelem", "--f", f_path, "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1.0",
+            "--eps", "1e-4", "--method", "lcu-swap"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["matelem", "--f", f_path, "--u", "3+1:0:0", "--t", "1.0"]) == 2  # no --v
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["method"] == "lcu-swap"

@@ -135,6 +135,43 @@ def test_element_to_pauli_matches_pi_tilde():
     assert np.max(np.abs(sum_dense(g) - pi_tilde_dense(f, 2))) <= 1e-12
 
 
+def reference_element_to_pauli(f):
+    """The expansion as a chain of whole sums: each support term's sum is
+    scaled, merged into the running sum, and the result re-sorted."""
+
+    def add_sums(a, b):
+        out = dict(a.terms)
+        for ps, c in b.terms:
+            out[ps] = out.get(ps, 0j) + c
+        return pauli_sum(a.n, out)
+
+    acc = pauli_sum(f.n, {})
+    for p, c in f.terms:
+        acc = add_sums(acc, pauli_sum(f.n, {ps: c * e for ps, e in permutation_to_pauli(p).terms}))
+    return acc
+
+
+def hex_terms(g):
+    return [(ps, c.real.hex(), c.imag.hex()) for ps, c in g.terms]
+
+
+@pytest.mark.parametrize("n,k,terms,seed", [
+    (4, 3, 3, 11), (5, 2, 4, 1), (6, 3, 5, 2), (8, 3, 6, 3), (10, 3, 5, 4), (7, 4, 4, 5),
+])
+def test_element_to_pauli_matches_the_chain_of_sums_bit_for_bit(n, k, terms, seed):
+    f = random_hermitian_k_local(n, k, terms, seed=seed)
+    assert hex_terms(element_to_pauli(f)) == hex_terms(reference_element_to_pauli(f))
+
+
+def test_element_to_pauli_drops_a_cancelled_identity_bit_for_bit():
+    # (1 2) - (3 4): the identity strings cancel exactly
+    f = algebra_element(4, {transposition(4, 1, 2): 1.0, transposition(4, 3, 4): -1.0})
+    g = element_to_pauli(f)
+    assert g.coefficient(pauli_identity(4)) == 0j
+    assert pauli_identity(4) not in dict(g.terms)
+    assert hex_terms(g) == hex_terms(reference_element_to_pauli(f))
+
+
 def test_string_index_phase_matches_dense():
     rng = np.random.default_rng(2)
     for letters in [(), ((1, "Z"),), ((2, "Y"),), ((1, "X"), (3, "Y")), ((1, "Y"), (2, "Z"), (3, "X"))]:

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snsim.errors import ResourceLimitError, SizeMismatchError
+from snsim import group_algebra
 from snsim.group_algebra import algebra_element, delta, pi_tilde_dense, random_hermitian_k_local
 from snsim.permutation import (
     enumerate_sn,
@@ -138,6 +141,24 @@ def test_statevector_validation_and_inner():
     b = basis_state(2, 2, 1)
     assert a.inner(b) == 1.0  # index 1 is digits (0, 1) big-endian
     assert a.norm() == 1.0
+
+
+@pytest.mark.parametrize("index", [-1, -8, 8, 100])
+def test_basis_state_refuses_an_index_outside_the_register(index):
+    # a negative index is refused, not wrapped to the end of the register
+    with pytest.raises(ValueError, match=rf"digits {index} invalid for d=2, n=3"):
+        basis_state(2, 3, index)
+    assert basis_state(2, 3, 7).amplitudes[7] == 1.0
+    assert basis_state(2, 3, 0).amplitudes[0] == 1.0
+
+
+def test_basis_state_reads_any_integer_as_one_index():
+    expect = basis_state(2, 3, 5).amplitudes
+    assert np.array_equal(basis_state(2, 3, np.int64(5)).amplitudes, expect)
+    # a bool is the integer 0 or 1, never a mask over the whole register
+    assert np.flatnonzero(basis_state(2, 3, True).amplitudes).tolist() == [1]
+    with pytest.raises(ValueError):
+        basis_state(2, 3, np.int64(-1))
 
 
 def test_dense_cap():
@@ -641,8 +662,16 @@ def test_sector_oracle_solves_only_the_shared_sector(monkeypatch):
     shapes.clear()
     a = basis_state(2, 12, [0, 1] * 6)
     b = basis_state(2, 12, [1, 0] * 6)
-    exact_matrix_element(a, b, chain(12), 1.0)
+    f = chain(12)
+    tracemalloc.start()
+    try:
+        exact_matrix_element(a, b, f, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert shapes == [(924, 924)]
+    # the whole 4096 x 4096 operator alone would take 268 MB
+    assert peak < 100e6
 
     shapes.clear()
     n, d = 6, 3
@@ -653,3 +682,80 @@ def test_sector_oracle_solves_only_the_shared_sector(monkeypatch):
                   for mu in itertools.product(range(n + 1), repeat=d) if sum(mu) == n)
     assert len(shapes) == math.comb(n + d - 1, d - 1)
     assert all(shape[0] <= largest for shape in shapes)
+
+
+def sliced_dense_oracle(u, v, f, t):
+    """The sector oracle as it read its blocks out of the whole dense
+    operator: `pi_tilde_dense`, then one `np.ix_` slice per shared sector."""
+    su, sv = getattr(u, "vector", u), getattr(v, "vector", v)
+    n, d = su.n, su.d
+    ham = pi_tilde_dense(f, d)
+    digits = np.array(list(itertools.product(range(d), repeat=n)))
+    code = sum((digits == a).sum(axis=1) * (n + 1) ** a for a in range(d))
+    value = 0j
+    for sector in np.intersect1d(code[su.amplitudes != 0], code[sv.amplitudes != 0]):
+        rows = np.flatnonzero(code == sector)
+        evals, evecs = np.linalg.eigh(ham[np.ix_(rows, rows)])
+        a = evecs.conj().T @ sv.amplitudes[rows]
+        b = evecs.conj().T @ su.amplitudes[rows]
+        value += complex(np.vdot(b, np.exp(-1j * t * evals) * a))
+    return value
+
+
+def hex_pair(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (8, 2), (4, 3), (5, 3)])
+def test_sector_blocks_match_the_sliced_dense_operator_bit_for_bit(n, d):
+    f = random_hermitian_k_local(n, 3, 4, seed=10 * n + d)
+    basis = young_basis(n, d)
+    rng = np.random.default_rng(n + d)
+    for i, j in rng.integers(len(basis), size=(20, 2)):
+        u, v = basis[i], basis[j]
+        assert hex_pair(exact_matrix_element(u, v, f, 0.8)) == hex_pair(sliced_dense_oracle(u, v, f, 0.8))
+    for t in (0.0, 1.4):
+        raw = rng.standard_normal((2, d**n)) + 1j * rng.standard_normal((2, d**n))
+        u, v = (Statevector(d, n, x / np.linalg.norm(x)) for x in raw)
+        assert hex_pair(exact_matrix_element(u, v, f, t)) == hex_pair(sliced_dense_oracle(u, v, f, t))
+
+
+def test_sector_oracle_builds_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle built the whole dense operator")
+
+    n, d = 5, 2
+    f = random_hermitian_k_local(n, 3, 4, seed=9)
+    basis = young_basis(n, d)
+    expect = sliced_dense_oracle(basis[1], basis[2], f, 0.6)
+    monkeypatch.setattr(group_algebra, "pi_tilde_dense", refuse)
+    assert exact_matrix_element(basis[1], basis[2], f, 0.6) == expect
+
+
+def test_sector_oracle_refuses_past_the_cap():
+    f = random_hermitian_k_local(4, 3, 3, seed=1)
+    a = basis_state(2, 4, [0, 1, 1, 0])
+    with pytest.raises(ResourceLimitError):
+        exact_matrix_element(a, a, f, 1.0, cap=15)
+    assert exact_matrix_element(a, a, f, 1.0, cap=16) == sliced_dense_oracle(a, a, f, 1.0)
+
+
+@st.composite
+def oracle_requests(draw):
+    n = draw(st.integers(2, 5))
+    d = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, n))
+    f = random_hermitian_k_local(n, k, draw(st.integers(1, 1 if n == 2 else 3)),
+                                 seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    raw = rng.standard_normal((2, d**n)) + 1j * rng.standard_normal((2, d**n))
+    u, v = (Statevector(d, n, x / np.linalg.norm(x)) for x in raw)
+    return f, u, v, draw(st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(oracle_requests())
+def test_sector_oracle_matches_full_space_eigh(request):
+    f, u, v, t = request
+    assert abs(exact_matrix_element(u, v, f, t) - full_space_oracle(f, u.d)(u, v, t)) <= 1e-12
+    assert abs(exact_matrix_element(u, v, f, 0.0) - u.inner(v)) <= 1e-12
