@@ -31,6 +31,7 @@ from .errors import (
 from .group_algebra import (
     AlgebraElement,
     algebra_element,
+    check_factorial,
     convolve,
     dense_table,
     element_from_json_dict,
@@ -170,17 +171,19 @@ def _element_from_table(n: int, values) -> AlgebraElement:
 def cmd_fft(args) -> int:
     if (args.f is None) == (args.table is None):
         raise ValueError("need exactly one of --f (element) or --table (dense values)")
+    cap = args.cap_factorial
     if args.f:
         f = _load_element(args.f)
+        check_factorial(f.n, cap)
     else:
         with open(args.table, encoding="utf-8") as fh:
             values = json.load(fh)
         if args.n is None:
             raise ValueError("--table needs --n")
+        check_factorial(args.n, cap)
         if len(values) != math.factorial(args.n):
             raise ValueError(f"table has {len(values)} entries, expected {args.n}!")
         f = _element_from_table(args.n, values)
-    cap = args.cap_factorial
 
     start = time.perf_counter()
     fast = fourier_fft(dense_table(f), f.n, cap=cap)
@@ -301,6 +304,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_bench(args) -> int:
     lo, hi = _parse_range(args.n_range)
+    # before any draw: n < 1 is refused at the low end, the cap at the high
+    check_factorial(lo, args.cap_factorial)
+    check_factorial(hi, args.cap_factorial)
     rows = []
     for n in range(lo, hi + 1):
         rng = np.random.default_rng(1000 * args.seed + n)

@@ -50,6 +50,7 @@ __all__ = [
     "convolve",
     "left_translate",
     "FourierCoefficients",
+    "check_factorial",
     "fourier_naive",
     "fourier_fft",
     "fourier_inverse",
@@ -189,7 +190,9 @@ class FourierCoefficients:
         return worst
 
 
-def _check_factorial(n: int, cap: int):
+def check_factorial(n: int, cap: int):
+    """Refuse a transform over S_n for n < 1 (ValueError) or n past the
+    cap (ResourceLimitError), before anything n!-sized is built."""
     if n < 1:
         raise ValueError(f"need n >= 1 for a transform over S_n, got n={n}")
     if n > cap:
@@ -204,7 +207,7 @@ def fourier_naive(f: AlgebraElement, cap: int = DEFAULT_FACTORIAL_CAP) -> Fourie
     Cost is proportional to the support size; each term costs about
     2 n! (|word(p)| + 1) multiplies summed over all shapes.
     """
-    _check_factorial(f.n, cap)
+    check_factorial(f.n, cap)
     shapes = enumerate_partitions(f.n)
     blocks = {s: np.zeros((_yor_dimension(s), _yor_dimension(s)), dtype=complex) for s in shapes}
     ops = 0
@@ -258,7 +261,7 @@ def _fft_rec(values: np.ndarray, m: int, counter: list[int]) -> dict[Partition, 
 
 def fourier_fft(values: np.ndarray, n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> FourierCoefficients:
     """Fast transform of a dense table over S_n in lex one-line order."""
-    _check_factorial(n, cap)
+    check_factorial(n, cap)
     values = np.asarray(values, dtype=complex)
     size = math.factorial(n)
     if values.shape != (size,):
@@ -272,10 +275,12 @@ def fourier_inverse(coeffs: FourierCoefficients, cap: int = DEFAULT_FACTORIAL_CA
     """f(p) = (1/n!) sum_shape dim * tr(fhat(shape) rho(p^-1)), as a dense
     lex-ordered table."""
     n = coeffs.n
-    _check_factorial(n, cap)
+    check_factorial(n, cap)
     shapes = enumerate_partitions(n)
     for s in shapes:
         d = _yor_dimension(s)
+        if s not in coeffs.blocks:
+            raise SizeMismatchError(f"no block for shape {s} among the S_{n} coefficients")
         if coeffs.blocks[s].shape != (d, d):
             raise SizeMismatchError(f"block {s} has shape {coeffs.blocks[s].shape}, expected {(d, d)}")
     perms = list(enumerate_sn(n))

@@ -42,7 +42,11 @@ The explicit path's segment comes from `build_segment`, which builds
 the Taylor products level by level in numpy and merges equal
 (permutation, phase) pairs with one stable sort. Its arithmetic is
 CPython's complex arithmetic written out term by term, so its terms
-equal, bit for bit, those of a product-by-product Python loop.
+equal, bit for bit, those of a product-by-product Python loop. The
+segment keeps the merged terms as arrays (betas, phases, a permutation
+id per term, the distinct permutations with their SWAP words, and each
+permutation's rows), which is all `run_segment` reads; `LcuSegment.terms`
+builds the per-term `LcuTerm` view only when asked.
 
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
@@ -55,6 +59,7 @@ permutation moves at most 3 points, the regime of the suites here.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,16 +124,37 @@ class LcuTerm:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
 class LcuSegment:
-    """Positive combination sum_j beta_j phase_j P(perm_j) with 1-norm 2."""
+    """Positive combination sum_j beta_j phase_j P(perm_j) with 1-norm 2.
+
+    Held as arrays: term j has betas[j], phases[j] and the permutation
+    perms[perm_ids[j]], whose adjacent-SWAP word is words[perm_ids[j]].
+    perms lists the distinct permutations in the order of their first
+    term, and perm_rows[k] the terms on perms[k], in ascending order.
+    None of it depends on the qudit dimension d.
+    """
 
     n: int
     delta_t: float
     K: int
-    terms: tuple[LcuTerm, ...]
     shift: float
     phase_correction: complex
+    betas: np.ndarray
+    phases: np.ndarray
+    perm_ids: np.ndarray
+    perms: tuple[Permutation, ...]
+    words: tuple[tuple[int, ...], ...]
+    perm_rows: tuple[np.ndarray, ...]
+
+    @functools.cached_property
+    def terms(self) -> tuple[LcuTerm, ...]:
+        """The terms as LcuTerm values, built on first use."""
+        return tuple(
+            LcuTerm(beta=beta, phase=phase, perm=self.perms[k], word=self.words[k])
+            for beta, phase, k in zip(self.betas.tolist(), self.phases.tolist(),
+                                      self.perm_ids.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -325,8 +351,13 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     int64 codes of the images and both phase parts, so the m = 0 term
     and the padding share one identity entry. Merged terms keep the
     order of their first occurrence and its phase; betas are summed in
-    enumeration order.
+    enumeration order. A second sort, on the merged terms' codes alone,
+    numbers the distinct permutations and gives each its rows.
+
+    A NaN or negative delta_t is refused with ValueError.
     """
+    if not delta_t >= 0.0:
+        raise ValueError(f"need delta_t >= 0, got {delta_t}")
     shifted = add(f, scale(delta(identity(f.n)), shift)) if shift else f
     supp = list(shifted.terms)
     term_count = sum(len(supp)**m for m in range(taylor_k + 1))
@@ -337,9 +368,10 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         )
 
     images, weights, ph_re, ph_im = _taylor_products(supp, f.n, delta_t, taylor_k, term_count)
+    codes = _perm_codes(images)
     # the sort, like a dict key, takes -0.0 and 0.0 as equal; entry 0
     # opens group 0, which the pad tops up
-    entry_group, firsts = _first_occurrence_groups(*_perm_codes(images), ph_re, ph_im)
+    entry_group, firsts = _first_occurrence_groups(*codes, ph_re, ph_im)
     betas = np.zeros(len(firsts))
     np.add.at(betas, entry_group, weights)
 
@@ -350,23 +382,25 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     if pad > 0.0:
         betas[0] += pad
 
-    perms: dict[tuple[int, ...], tuple[Permutation, tuple[int, ...]]] = {}
-    terms = []
-    for beta, row, re_, im_ in zip(betas.tolist(), (images[firsts].astype(np.intp) + 1).tolist(),
-                                   ph_re[firsts].tolist(), ph_im[firsts].tolist()):
-        one_line = tuple(row)
-        if one_line not in perms:
-            p = Permutation(one_line)
-            perms[one_line] = (p, tuple(swap_network(p)))
-        p, word = perms[one_line]
-        terms.append(LcuTerm(beta=beta, phase=complex(re_, im_), perm=p, word=word))
+    # set part by part: re + 1j*im would turn a -0.0 real part into 0.0
+    phases = np.empty(len(firsts), dtype=complex)
+    phases.real, phases.imag = ph_re[firsts], ph_im[firsts]
+    perm_ids, perm_firsts = _first_occurrence_groups(*(code[firsts] for code in codes))
+    by_perm = np.argsort(perm_ids, kind="stable")
+    perms = tuple(Permutation(tuple(row)) for row in
+                  (images[firsts[perm_firsts]].astype(np.intp) + 1).tolist())
     return LcuSegment(
         n=f.n,
         delta_t=delta_t,
         K=taylor_k,
-        terms=tuple(terms),
         shift=shift,
         phase_correction=cmath.exp(1j * delta_t * shift),
+        betas=betas,
+        phases=phases,
+        perm_ids=perm_ids,
+        perms=perms,
+        words=tuple(tuple(swap_network(p)) for p in perms),
+        perm_rows=tuple(np.split(by_perm, np.cumsum(np.bincount(perm_ids))[:-1])),
     )
 
 
@@ -381,11 +415,10 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     if seg.n != state.n:
         raise SizeMismatchError(f"segment on {seg.n} sites vs state on {state.n}")
     d = state.d
-    terms = seg.terms
-    live = len(terms)
+    live = len(seg.betas)
     anc = 1 << max(0, (live - 1).bit_length())
     column = np.zeros(anc)
-    column[:live] = np.sqrt(np.array([term.beta for term in terms]) / 2.0)
+    column[:live] = np.sqrt(seg.betas / 2.0)
     column /= np.linalg.norm(column)
     house = column.copy()
     house[0] -= 1.0
@@ -401,28 +434,24 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
         joint[:live] -= np.outer(house[:live], (2.0 / h2) * (house @ joint))
         return joint
 
-    # rows sharing a permutation are gathered together; only the phase
-    # varies per row
-    phases = np.array([term.phase for term in terms], dtype=complex)
-    groups: dict[tuple, tuple[Permutation, list[int]]] = {}
-    for j, term in enumerate(terms):
-        groups.setdefault(term.perm.images, (term.perm, []))[1].append(j)
+    # rows sharing a permutation are gathered together, rows first and
+    # then columns, so no index table of rows x d^n is built; only the
+    # phase varies per row
     ident_rows = np.array([], dtype=np.intp)
     gathers = []
-    for p, rows in groups.values():
+    for p, rows in zip(seg.perms, seg.perm_rows):
         if p.is_identity():
             # identity-permutation rows only need their phase
-            ident_rows = np.array(rows)
+            ident_rows = rows
         else:
-            gathers.append((np.array(rows), permutation_index_map(p, d),
+            gathers.append((rows, permutation_index_map(p, d),
                             permutation_index_map(p.inverse(), d)))
 
     def apply_w(joint: np.ndarray, dagger: bool) -> np.ndarray:
         joint = prep_apply(joint)
-        col = phases.conj() if dagger else phases
+        col = seg.phases.conj() if dagger else seg.phases
         for rows, fwd, inv in gathers:
-            g = inv if dagger else fwd
-            joint[rows] = col[rows, None] * joint[np.ix_(rows, g)]
+            joint[rows] = col[rows, None] * joint[rows][:, inv if dagger else fwd]
         joint[ident_rows] *= col[ident_rows, None]
         return prep_apply(joint)
 
@@ -497,8 +526,8 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
     if explicit:
         seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift, term_cap=term_cap)
         # run_segment gathers the rows of each distinct permutation at once
-        perms = len({term.perm.images for term in seg.terms})
-        _check_work(pl.M, perms, -(-len(seg.terms) // perms), dim)
+        perms = len(seg.perms)
+        _check_work(pl.M, perms, -(-len(seg.betas) // perms), dim)
         state = sv
         for _ in range(pl.M):
             state = run_segment(state, seg)

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from snsim import cli, group_algebra
 from snsim.cli import _json_text, main
 from snsim.group_algebra import algebra_element, element_to_json_dict
 from snsim.permutation import transposition
@@ -327,8 +331,62 @@ def test_verify_exit_codes():
     assert main(["verify", "no-such-suite"]) == 2
 
 
+VERIFY_LCU_E2E = """\
+PASS lcu-vs-oracle: |lcu - exact| = 4.421e-07 at eps = 1e-03, M=2 K=7
+PASS ancilla-vs-block: |explicit ancilla run - block formula| = 9.305e-16
+PASS pauli-vs-swap: |pauli route - swap route| = 4.677e-07 at 2*eps = 2e-03
+PASS cross-block: exact cross-block = 0.000e+00, lcu cross-block = 0.000e+00
+PASS gate-bound: 3MK*Wmax = 168 <= span^2 MK = 224
+suite lcu-e2e: 5/5 checks passed
+"""
+
+
+def test_verify_lcu_e2e_output_pinned():
+    """The ancilla-vs-block figure is rounding noise whose last digits
+    follow BLAS's summation order, so the run pins BLAS to one thread."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-m", "snsim.cli", "verify", "lcu-e2e"], env=env,
+                         capture_output=True, text=True, timeout=120, check=False)
+    assert (run.returncode, run.stdout) == (0, VERIFY_LCU_E2E)
+
+
 def test_resource_cap_exit(tmp_path, f_path):
     assert main(["fft", "--f", f_path, "--cap-factorial", "3"]) == 3
+
+
+@pytest.fixture()
+def no_factorial_builds(monkeypatch):
+    """Fail the test on any n!-sized build: the table of an element, an
+    enumeration of S_n, or bench's draw of n! random values."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("n!-sized build before the factorial cap was checked")
+
+    monkeypatch.setattr(cli, "dense_table", refuse)
+    monkeypatch.setattr(cli, "enumerate_sn", refuse)
+    monkeypatch.setattr(group_algebra, "enumerate_sn", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+def test_fft_checks_the_cap_before_any_table(tmp_path, f_path, capsys, no_factorial_builds):
+    f = tmp_path / "f10.json"
+    f.write_text(json.dumps(element_to_json_dict(
+        algebra_element(10, {transposition(10, 1, 2): 0.5}))))
+    table = tmp_path / "t.json"
+    table.write_text("[1.0]")
+    assert main(["fft", "--f", str(f)]) == 3
+    assert main(["fft", "--table", str(table), "--n", "10"]) == 3
+    assert main(["fft", "--f", f_path, "--cap-factorial", "3"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_checks_the_cap_before_any_draw(capsys, no_factorial_builds):
+    assert main(["bench", "--n-range", "11:11"]) == 3
+    assert main(["bench", "--n-range", "4:9"]) == 3
+    assert main(["bench", "--n-range", "4:5", "--cap-factorial", "4"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,7 +27,7 @@ from snsim.group_algebra import (
 )
 from snsim.permutation import adjacent_word, enumerate_sn, identity, locality, parse_permutation
 from snsim.yor import dimension
-from snsim.young import enumerate_partitions
+from snsim.young import Partition, enumerate_partitions
 
 
 def brute_convolve(f, g):
@@ -208,6 +208,15 @@ def test_dense_cap_enforced():
 def test_fft_input_validation():
     with pytest.raises(SizeMismatchError):
         fourier_fft(np.zeros(10), 4)
+
+
+def test_fourier_inverse_names_a_missing_block():
+    with pytest.raises(SizeMismatchError, match=r"no block for shape 3 "):
+        fourier_inverse(FourierCoefficients(3, {}))
+    coeffs = fourier_naive(random_element(3, 2))
+    del coeffs.blocks[Partition((2, 1))]
+    with pytest.raises(SizeMismatchError, match=r"no block for shape 2\+1 "):
+        fourier_inverse(coeffs)
 
 
 def test_is_hermitian_and_random_elements():

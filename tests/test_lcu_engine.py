@@ -32,6 +32,7 @@ from snsim.pauli_expand import (
 )
 from snsim.permutation import identity, parse_permutation, transposition
 from snsim.quditsim import Statevector, permutation_index_map, swap_network
+from snsim.verify import run_suite
 
 
 class LoopSegment:
@@ -249,10 +250,46 @@ SMALL_CASES = {
 def test_build_segment_matches_product_loop_bit_for_bit(case):
     f, delta_t, taylor_k, shift = case()
     seg = build_segment(f, delta_t, taylor_k, shift=shift)
-    expect = [bits(*term) for term in reference_segment(f, delta_t, taylor_k, shift)]
+    ref = reference_segment(f, delta_t, taylor_k, shift)
+    expect = [bits(*term) for term in ref]
     got = [bits(term.beta, term.phase, term.perm, term.word) for term in seg.terms]
     assert got == expect
+    assert seg.terms is seg.terms
     assert seg.phase_correction == cmath.exp(1j * delta_t * shift)
+
+    # the arrays that run_segment reads hold the same terms
+    assert [(beta.hex(), z.real.hex(), z.imag.hex())
+            for beta, z in zip(seg.betas.tolist(), seg.phases.tolist())] == \
+        [term[:3] for term in expect]
+    distinct = list(dict.fromkeys(images for *_, images, _ in expect))
+    assert [p.images for p in seg.perms] == distinct
+    assert [(seg.perms[k].images, seg.words[k]) for k in seg.perm_ids.tolist()] == \
+        [term[3:] for term in expect]
+    assert [rows.tolist() for rows in seg.perm_rows] == \
+        [[j for j, term in enumerate(expect) if term[3] == images] for images in distinct]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("delta_t", [math.nan, -0.1, -math.inf])
+def test_build_segment_refuses_nan_or_negative_delta_t(delta_t, monkeypatch):
+    monkeypatch.setattr(lcu, "_taylor_products", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"need delta_t >= 0, got {delta_t}")):
+        build_segment(heisenberg_like(4), delta_t, 3)
+
+
+def test_explicit_path_builds_no_term_objects(monkeypatch):
+    f = random_hermitian_k_local(4, 3, 3, seed=11)
+    rng = np.random.default_rng(5)
+    u, v = (Statevector(2, 4, random_unit(rng, 2, 4)) for _ in range(2))
+    expect, _ = matrix_element(u, v, f, 0.8, 1e-3, explicit=True)
+    monkeypatch.setattr(lcu, "LcuTerm", refuse)
+    got, _ = matrix_element(u, v, f, 0.8, 1e-3, explicit=True)
+    assert (got.real.hex(), got.imag.hex()) == (expect.real.hex(), expect.imag.hex())
+    for result in run_suite("lcu-e2e"):
+        assert result.passed, f"{result.name}: {result.detail}"
 
 
 def test_term_cap_refuses_with_the_same_message():
