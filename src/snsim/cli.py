@@ -56,7 +56,12 @@ from .quditsim import (
 )
 from .verify import run_suite
 from .yor import yor
-from .young import enumerate_partitions, parse_partition, schur_weyl_dimension_check
+from .young import (
+    enumerate_partitions,
+    hook_length_dimension,
+    parse_partition,
+    schur_weyl_dimension_check,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -149,6 +154,11 @@ def cmd_dims(args) -> int:
 def cmd_irrep(args) -> int:
     shape = parse_partition(args.shape)
     p = parse_permutation(args.perm, n=shape.n)
+    # before the tableaux are enumerated: 15+15 has 9,694,845 of them
+    dim = hook_length_dimension(shape)
+    if dim > DEFAULT_DENSE_CAP:
+        raise ResourceLimitError(
+            f"irrep {shape} has dimension {dim}, past the dense cap {DEFAULT_DENSE_CAP}")
     mat = yor(shape, p)
     record = {
         "schema_version": SCHEMA_VERSION,

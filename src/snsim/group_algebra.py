@@ -180,9 +180,6 @@ class FourierCoefficients:
     blocks: dict[Partition, np.ndarray]
     ops: int = 0
 
-    def block(self, shape: Partition) -> np.ndarray:
-        return self.blocks[shape]
-
     def max_abs_diff(self, other: "FourierCoefficients") -> float:
         worst = 0.0
         for shape, mat in self.blocks.items():

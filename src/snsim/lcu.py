@@ -256,23 +256,15 @@ def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
     return pl
 
 
-def _perm_codes(images: np.ndarray) -> list[np.ndarray]:
-    """The rows of 0-based one-line images as int64 keys, equal exactly
-    when the rows are: each key is the base-n number of as many columns
-    as fit in an int64, one key for n <= 15. Few keys keep the sort
-    small: lexsort allocates per key."""
-    n = images.shape[1]
-    width = 1
-    while width < n and n ** (width + 1) < 2**63:
-        width += 1
-    keys = []
-    for start in range(0, n, width):
-        code = np.zeros(len(images), dtype=np.int64)
-        for column in images.T[start:start + width]:
-            code *= n
-            code += column
-        keys.append(code)
-    return keys
+def _row_keys(images: np.ndarray) -> np.ndarray:
+    """Each row's bytes, zero-padded to whole 8-byte words and read as
+    uint64: one key per column, one column for up to eight uint8 images.
+    Rows are equal exactly when their keys are, which is all a grouping
+    by equality needs; no group's number depends on the encoding."""
+    raw = images.view(np.uint8).reshape(len(images), -1)
+    padded = np.zeros((len(images), -(-raw.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, :raw.shape[1]] = raw
+    return padded.view(np.uint64)
 
 
 def _first_occurrence_groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,17 +340,17 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     included, equals that of a product-by-product Python loop.
 
     Equal (permutation, phase) pairs are merged by one stable sort on
-    int64 codes of the images and both phase parts, so the m = 0 term
+    byte-row keys of the images and both phase parts, so the m = 0 term
     and the padding share one identity entry. Merged terms keep the
     order of their first occurrence and its phase; betas are summed in
-    enumeration order. A second sort, on the merged terms' codes alone,
+    enumeration order. A second sort, on the merged terms' keys alone,
     numbers the distinct permutations and gives each its rows.
 
     A NaN or negative delta_t is refused with ValueError.
     """
     if not delta_t >= 0.0:
         raise ValueError(f"need delta_t >= 0, got {delta_t}")
-    shifted = add(f, scale(delta(identity(f.n)), shift)) if shift else f
+    shifted = add(f, scale(delta(identity(f.n)), shift))
     supp = list(shifted.terms)
     term_count = sum(len(supp)**m for m in range(taylor_k + 1))
     if term_count > term_cap:
@@ -368,10 +360,10 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         )
 
     images, weights, ph_re, ph_im = _taylor_products(supp, f.n, delta_t, taylor_k, term_count)
-    codes = _perm_codes(images)
+    keys = _row_keys(images)
     # the sort, like a dict key, takes -0.0 and 0.0 as equal; entry 0
     # opens group 0, which the pad tops up
-    entry_group, firsts = _first_occurrence_groups(*codes, ph_re, ph_im)
+    entry_group, firsts = _first_occurrence_groups(*keys.T, ph_re, ph_im)
     betas = np.zeros(len(firsts))
     np.add.at(betas, entry_group, weights)
 
@@ -385,7 +377,7 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     # set part by part: re + 1j*im would turn a -0.0 real part into 0.0
     phases = np.empty(len(firsts), dtype=complex)
     phases.real, phases.imag = ph_re[firsts], ph_im[firsts]
-    perm_ids, perm_firsts = _first_occurrence_groups(*(code[firsts] for code in codes))
+    perm_ids, perm_firsts = _first_occurrence_groups(*keys[firsts].T)
     by_perm = np.argsort(perm_ids, kind="stable")
     perms = tuple(Permutation(tuple(row)) for row in
                   (images[firsts[perm_firsts]].astype(np.intp) + 1).tolist())
@@ -434,25 +426,17 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
         joint[:live] -= np.outer(house[:live], (2.0 / h2) * (house @ joint))
         return joint
 
-    # rows sharing a permutation are gathered together, rows first and
-    # then columns, so no index table of rows x d^n is built; only the
-    # phase varies per row
-    ident_rows = np.array([], dtype=np.intp)
-    gathers = []
-    for p, rows in zip(seg.perms, seg.perm_rows):
-        if p.is_identity():
-            # identity-permutation rows only need their phase
-            ident_rows = rows
-        else:
-            gathers.append((rows, permutation_index_map(p, d),
-                            permutation_index_map(p.inverse(), d)))
+    # rows sharing a permutation, the identity's too (its maps are the
+    # arange), are gathered together, rows first and then columns, so no
+    # index table of rows x d^n is built; only the phase varies per row
+    gathers = [(rows, permutation_index_map(p, d), permutation_index_map(p.inverse(), d))
+               for p, rows in zip(seg.perms, seg.perm_rows)]
 
     def apply_w(joint: np.ndarray, dagger: bool) -> np.ndarray:
         joint = prep_apply(joint)
         col = seg.phases.conj() if dagger else seg.phases
         for rows, fwd, inv in gathers:
             joint[rows] = col[rows, None] * joint[rows][:, inv if dagger else fwd]
-        joint[ident_rows] *= col[ident_rows, None]
         return prep_apply(joint)
 
     joint = np.zeros((anc, d**state.n), dtype=complex)
@@ -543,7 +527,7 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
 def gate_count_report(pl: SimulationPlan, f: AlgebraElement) -> GateReport:
     """SWAP accounting: 3 select-round sweeps per segment, each charged
     the worst support word w_max; bound is span^2 M K."""
-    w_max = max((len(swap_network(p)) for p in f.support() if not p.is_identity()), default=0)
+    w_max = max((len(swap_network(p)) for p in f.support()), default=0)
     return GateReport(
         actual=3 * pl.M * pl.K * w_max,
         bound_k2mk=f.span * f.span * pl.M * pl.K,

@@ -396,13 +396,13 @@ def _member(lam: Partition, ti: int, wi: int, weight: tuple, vec: np.ndarray,
     )
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasisVector, ...]:
     """Complete orthonormal basis of (C^d)^(x n), one vector per
     (block shape, standard tableau, weight copy) triple.
 
     Ordered by shape (reverse-lexicographic), then tableau (last-letter
-    order), then weight index.
+    order), then weight index. Only the last basis built is cached.
     """
     check_young_size(n, d, cap)
     trans_maps = _transposition_maps(n, d)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from snsim import cli, group_algebra
+from snsim import cli, group_algebra, yor
 from snsim.cli import _json_text, main
 from snsim.group_algebra import algebra_element, element_to_json_dict
 from snsim.permutation import transposition
@@ -387,6 +387,26 @@ def test_bench_checks_the_cap_before_any_draw(capsys, no_factorial_builds):
     assert main(["bench", "--n-range", "4:9"]) == 3
     assert main(["bench", "--n-range", "4:5", "--cap-factorial", "4"]) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("shape", ["15+15", "10+10"])
+def test_irrep_checks_the_dense_cap_before_any_tableau(shape, monkeypatch, capsys):
+    # 15+15 has 9,694,845 standard tableaux; 10+10 has 16,796, one past
+    # the cap of 16,384, and its generators would be 2.3 GB dense arrays
+    def refuse(*args, **kwargs):
+        raise AssertionError("tableaux enumerated before the dense cap was checked")
+
+    monkeypatch.setattr(yor, "tableaux", refuse)
+    assert main(["irrep", "--lambda", shape, "--perm", "(1 2)"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "past the dense cap 16384" in err
+
+
+def test_irrep_below_the_cap_prints_the_same_bytes(capsys):
+    assert main(["irrep", "--lambda", "2+1", "--perm", "(1 2)"]) == 0
+    assert capsys.readouterr().out == \
+        '{"schema_version":"1","shape":"2+1","perm":"(1 2)","dim":2,"matrix":[[1,0],[0,-1]]}\n'
 
 
 @pytest.mark.parametrize("argv", [

@@ -176,6 +176,15 @@ def test_operation_counters():
         assert fft.ops == closed
 
 
+@pytest.mark.parametrize("n,ops", [(1, 0), (2, 4), (3, 48), (4, 480), (5, 4800),
+                                   (6, 50400), (7, 564480)])
+def test_fft_op_count_is_pinned(n, ops):
+    # level m makes n!/m! calls of m(m-1) m! multiplies: n!(n+1)n(n-1)/3
+    # in all, which a rewrite of the recursion has to keep
+    assert ops == math.factorial(n) * (n + 1) * n * (n - 1) // 3
+    assert fourier_fft(np.zeros(math.factorial(n)), n).ops == ops
+
+
 def test_factorial_cap_enforced():
     f = delta(identity(9))
     with pytest.raises(ResourceLimitError):

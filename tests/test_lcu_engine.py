@@ -367,3 +367,31 @@ def test_run_segment_matches_full_register_bit_for_bit(case, d):
     expect = reference_run_segment(state, seg)
     assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
         [(z.real.hex(), z.imag.hex()) for z in expect.tolist()]
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 9, 12, 16, 300])
+def test_row_keys_are_equal_exactly_when_rows_are(n):
+    # up to eight uint8 images take one key; n = 300 takes uint16 images
+    rng = np.random.default_rng(n)
+    dtype = np.min_scalar_type(n - 1)
+    rows = np.array([rng.permutation(n) for _ in range(5)], dtype=dtype)
+    images = rows[rng.integers(len(rows), size=30)]
+    keys = lcu._row_keys(images)
+    assert keys.dtype == np.uint64
+    assert keys.shape == (30, -(-n * dtype.itemsize // 8))
+    for a, b in itertools.product(range(30), repeat=2):
+        assert (keys[a] == keys[b]).all() == (images[a] == images[b]).all()
+
+
+def test_identity_takes_the_path_of_every_permutation(monkeypatch):
+    # the identity's rows are gathered through the arange like any other
+    # permutation's, and its empty SWAP word needs no filter
+    f = add(random_hermitian_k_local(4, 3, 3, seed=11), scale(delta(identity(4)), 0.3))
+    pl = plan(f, 0.5, 1e-2)
+    seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift)
+    assert identity(4) in seg.perms and identity(4) in f.support()
+    state = Statevector(2, 4, random_unit(np.random.default_rng(2), 2, 4))
+    expect, report = run_segment(state, seg).amplitudes, lcu.gate_count_report(pl, f)
+    monkeypatch.setattr(lcu.Permutation, "is_identity", refuse)
+    assert run_segment(state, seg).amplitudes.tobytes() == expect.tobytes()
+    assert lcu.gate_count_report(pl, f) == report

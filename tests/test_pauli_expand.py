@@ -25,7 +25,15 @@ from snsim.pauli_expand import (
     transposition_to_pauli,
 )
 from snsim.permutation import enumerate_sn, locality, parse_permutation, transposition
-from snsim.quditsim import basis_state, exact_matrix_element, permutation_matrix, young_basis
+from snsim.quditsim import (
+    basis_state,
+    exact_matrix_element,
+    irrep_matrix_element,
+    permutation_matrix,
+    young_basis,
+    young_vector,
+)
+from snsim.young import Partition
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -194,6 +202,24 @@ def test_pauli_route_agrees_with_oracle_and_swap_route():
         assert abs(got - swap_val) <= 2 * eps
         assert report.unit == "pauli"
         assert report.actual == 3 * report.M * report.K
+
+
+def test_both_routes_match_the_irrep_oracle_at_n12():
+    # a chain over all twelve sites and an imaginary 3-cycle; the pair
+    # shares shape and weight, and its element is far above the tolerance
+    n = 12
+    terms = {transposition(n, i, i + 1): 0.1 + 0.02 * i for i in range(1, n)}
+    cyc = parse_permutation("(3 7 11)", n=n)
+    terms[cyc], terms[cyc.inverse()] = 0.15j, -0.15j
+    f = algebra_element(n, terms)
+    u_label, v_label = (Partition((10, 2)), 0, 1), (Partition((10, 2)), 3, 1)
+    expect = irrep_matrix_element(u_label, v_label, f, 1.0)
+    assert abs(expect) >= 1e-3
+    u, v = young_vector(n, 2, *u_label), young_vector(n, 2, *v_label)
+    for eps in (1e-3, 1e-6):
+        for route in (matrix_element, matrix_element_pauli):
+            got, _ = route(u, v, f, 1.0, eps)
+            assert abs(got - expect) <= eps, (route.__name__, eps)
 
 
 def test_pauli_route_time_zero_and_rejections():

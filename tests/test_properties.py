@@ -1,0 +1,102 @@
+"""Property tests: group laws, the convolution theorem, the irrep oracle
+and the element JSON form on generated inputs."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from snsim.cli import _json_text
+from snsim.group_algebra import (
+    algebra_element,
+    convolution_theorem_check,
+    element_from_json_dict,
+    element_to_json_dict,
+    random_hermitian_k_local,
+)
+from snsim.permutation import Permutation, identity
+from snsim.quditsim import exact_matrix_element, irrep_matrix_element, young_vector
+from snsim.yor import dimension
+from snsim.young import enumerate_partitions, weyl_dimension
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def permutations_of(n):
+    return st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+
+
+@st.composite
+def permutation_triples(draw):
+    perms = permutations_of(draw(st.integers(1, 7)))
+    return draw(perms), draw(perms), draw(perms)
+
+
+@st.composite
+def sparse_elements(draw, n):
+    coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    terms = draw(st.lists(st.tuples(permutations_of(n), coefficients), max_size=6))
+    out = {}
+    for p, c in terms:
+        out[p] = out.get(p, 0j) + c
+    return algebra_element(n, out)
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(sparse_elements(n)), draw(sparse_elements(n))
+
+
+@PROPERTY
+@given(permutation_triples())
+def test_compose_is_associative_with_inverses(triple):
+    p, q, r = triple
+    e = identity(p.n)
+    assert p * (q * r) == (p * q) * r
+    assert p * p.inverse() == e == p.inverse() * p
+    assert p * e == p == e * p
+    assert (p * q).inverse() == q.inverse() * p.inverse()
+
+
+@PROPERTY
+@given(element_pairs())
+def test_convolution_theorem_on_sparse_elements(pair):
+    f, g = pair
+    assert convolution_theorem_check(f, g) <= 1e-10
+
+
+@st.composite
+def young_pairs(draw):
+    """A Hermitian element, a time and two labels of one shape at (n, d)."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.sampled_from([2, 3]))
+    shape = draw(st.sampled_from(enumerate_partitions(n, max_rows=min(n, d))))
+    tableau = st.integers(0, dimension(shape) - 1)
+    weight = st.integers(0, weyl_dimension(shape, d) - 1)
+    k = draw(st.integers(2, min(n, 3)))
+    f = random_hermitian_k_local(n, k, draw(st.integers(1, 1 if n == 2 else 3)),
+                                 seed=draw(st.integers(0, 2**16)))
+    u = (shape, draw(tableau), draw(weight))
+    # the same weight most of the time: across weights the element is 0
+    v = (shape, draw(tableau), draw(st.one_of(st.just(u[2]), weight)))
+    return n, d, f, u, v, draw(st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(young_pairs())
+def test_irrep_oracle_matches_dense_oracle(request):
+    n, d, f, u, v, t = request
+    uv, vv = (young_vector(n, d, *label) for label in (u, v))
+    assert abs(irrep_matrix_element(u, v, f, t) - exact_matrix_element(uv, vv, f, t)) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(sparse_elements))
+def test_element_json_round_trip(f):
+    data = element_to_json_dict(f)
+    assert element_from_json_dict(json.loads(json.dumps(data))).terms == f.terms
+    # the CLI writes floats at 17 significant digits, which read back
+    # exactly, but for the sign of a zero
+    back = element_from_json_dict(json.loads(_json_text(data)))
+    assert [(p, c.real.hex(), c.imag.hex()) for p, c in back.terms] == \
+        [(p, (c.real + 0.0).hex(), (c.imag + 0.0).hex()) for p, c in f.terms]

@@ -286,6 +286,15 @@ def test_young_basis_calls_no_eigensolver(monkeypatch):
     assert calls == []
 
 
+def test_young_basis_caches_one_basis():
+    # a basis at (12, 2) holds 268 MB, so a second one is never kept
+    young_basis.cache_clear()
+    young_basis(4, 2)
+    young_basis(3, 2)
+    assert young_basis.cache_info().currsize == 1
+    assert young_basis(3, 2) is young_basis(3, 2)
+
+
 @pytest.mark.parametrize("n,d", [(12, 2), (8, 3)])
 def test_young_basis_is_orthonormal_per_weight(n, d):
     # vectors of different weights have disjoint supports, so one Gram
