@@ -102,9 +102,17 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# what indexing, calling or converting a JSON value of the wrong shape raises
+_MALFORMED = (KeyError, TypeError, IndexError, AttributeError)
+
+
 def _load_element(path: str) -> AlgebraElement:
     with open(path, encoding="utf-8") as fh:
-        return element_from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return element_from_json_dict(data)
+    except _MALFORMED as exc:
+        raise ValueError(f"{path} is not an element: {type(exc).__name__}: {exc}") from exc
 
 
 def _pairs(mat: np.ndarray) -> list:
@@ -172,9 +180,14 @@ def cmd_irrep(args) -> int:
 
 
 def _element_from_table(n: int, values) -> AlgebraElement:
-    table = {}
-    for p, v in zip(enumerate_sn(n), values):
-        table[p] = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+    try:
+        if len(values) != math.factorial(n):
+            raise ValueError(f"table has {len(values)} entries, expected {n}!")
+        table = {p: complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+                 for p, v in zip(enumerate_sn(n), values)}
+    except _MALFORMED as exc:
+        raise ValueError(f"table is not a list of numbers or [re, im] pairs: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return algebra_element(n, table)
 
 
@@ -191,8 +204,6 @@ def cmd_fft(args) -> int:
         if args.n is None:
             raise ValueError("--table needs --n")
         check_factorial(args.n, cap)
-        if len(values) != math.factorial(args.n):
-            raise ValueError(f"table has {len(values)} entries, expected {args.n}!")
         f = _element_from_table(args.n, values)
 
     start = time.perf_counter()

@@ -6,7 +6,8 @@ DEFAULT_DENSE_CAP = 16384
 # Largest n for which n!-sized tables and loops are permitted.
 DEFAULT_FACTORIAL_CAP = 8
 
-# Largest flattened term count a single LCU segment may expand to.
+# Largest Taylor product count, sum_m |supp|^m over m <= K, of one LCU
+# segment: it bounds the products that build_segment's convolutions walk.
 DEFAULT_TERM_CAP = 500_000
 
 # Largest work an LCU run may ask for, in amplitude gathers: each select

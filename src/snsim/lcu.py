@@ -38,13 +38,12 @@ path, and on the explicit one M times one application per distinct
 permutation of the segment, each charged (rows) * d^n gathers but at
 least `DEFAULT_CALL_FLOOR`.
 
-The explicit path's segment comes from `build_segment`, which builds
-the Taylor products level by level in numpy and merges equal
-(permutation, phase) pairs with one stable sort. Its arithmetic is
-CPython's complex arithmetic written out term by term, so its terms
-equal, bit for bit, those of a product-by-product Python loop. The
-segment keeps the merged terms as arrays (betas, phases, a permutation
-id per term, the distinct permutations with their SWAP words, and each
+The explicit path's segment comes from `build_segment`, which sums the
+Taylor polynomial in the group algebra, one power of the shifted
+element per order, so each permutation takes one term; a cancelling
+identity pair tops the 1-norm up to 2 where products merged. The
+segment keeps its terms as arrays (betas, phases, a permutation id per
+term, the distinct permutations with their SWAP words, and each
 permutation's rows), which is all `run_segment` reads; `LcuSegment.terms`
 builds the per-term `LcuTerm` view only when asked.
 
@@ -73,7 +72,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .permutation import Permutation, identity
-from .group_algebra import AlgebraElement, add, delta, scale
+from .group_algebra import AlgebraElement, add, convolve, delta, scale
 from .quditsim import Statevector, check_request, permutation_index_map, swap_network
 
 __all__ = [
@@ -256,131 +255,59 @@ def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
     return pl
 
 
-def _row_keys(images: np.ndarray) -> np.ndarray:
-    """Each row's bytes, zero-padded to whole 8-byte words and read as
-    uint64: one key per column, one column for up to eight uint8 images.
-    Rows are equal exactly when their keys are, which is all a grouping
-    by equality needs; no group's number depends on the encoding."""
-    raw = images.view(np.uint8).reshape(len(images), -1)
-    padded = np.zeros((len(images), -(-raw.shape[1] // 8) * 8), dtype=np.uint8)
-    padded[:, :raw.shape[1]] = raw
-    return padded.view(np.uint64)
-
-
-def _first_occurrence_groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the entries whose keys are all equal, by one stable sort.
-
-    Returns the group of each entry, groups numbered in the order of
-    their first entry, and the index of each group's first entry.
-    """
-    order = np.lexsort(keys[::-1])
-    starts = np.zeros(len(order), dtype=bool)
-    starts[0] = True
-    for key in keys:
-        in_order = key[order]
-        starts[1:] |= in_order[1:] != in_order[:-1]
-    first_of_sorted = order[starts]
-    rank = np.argsort(first_of_sorted)
-    group_id = np.empty_like(rank)
-    group_id[rank] = np.arange(len(rank))
-    entry_group = np.empty_like(order)
-    entry_group[order] = group_id[np.cumsum(starts) - 1]
-    return entry_group, first_of_sorted[rank]
-
-
-def _taylor_products(supp, n: int, delta_t: float, taylor_k: int, size: int):
-    """The products of m <= K support terms, as (images, weights, phase
-    real parts, phase imaginary parts) in enumeration order; products of
-    zero weight are left out, and entry 0 is the m = 0 identity with
-    coefficient 1 + 0j. `size` bounds the entry count."""
-    supp_images = np.array([p.images for p, _ in supp], dtype=np.intp).reshape(-1, n) - 1
-    c_re = np.array([c.real for _, c in supp])
-    c_im = np.array([c.imag for _, c in supp])
-    size = max(size, 1)  # K < 0 keeps the m = 0 entry
-    images = np.empty((size, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    weights, ph_re, ph_im = np.empty(size), np.empty(size), np.empty(size)
-    images[0], weights[0], ph_re[0], ph_im[0] = np.arange(n), 1.0, 1.0, 0.0
-    used = 1
-    prod, p_re, p_im = images[:1], np.ones(1), np.zeros(1)
-    for m in range(1, taylor_k + 1):
-        prod = prod[:, supp_images].reshape(-1, n)
-        p_re, p_im = (
-            (np.multiply.outer(p_re, c_re) - np.multiply.outer(p_im, c_im)).reshape(-1),
-            (np.multiply.outer(p_re, c_im) + np.multiply.outer(p_im, c_re)).reshape(-1),
-        )
-        mag = np.hypot(p_re, p_im)
-        weight = (delta_t**m / math.factorial(m)) * mag
-        keep = slice(None) if weight.all() else weight != 0.0
-        a_re, a_im, mag = p_re[keep], p_im[keep], mag[keep]
-        rot = (-1j) ** m
-        num_re = rot.real * a_re - rot.imag * a_im
-        num_im = rot.real * a_im + rot.imag * a_re
-        span = slice(used, used + len(mag))
-        images[span], weights[span] = prod[keep], weight[keep]
-        # the complex divide by complex(abs(coef), 0.0), part by part
-        ph_re[span] = (num_re + num_im * 0.0) / mag
-        ph_im[span] = (num_im - num_re * 0.0) / mag
-        used = span.stop
-    return images[:used], weights[:used], ph_re[:used], ph_im[:used]
-
-
 def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float = 0.0,
                   term_cap: int = DEFAULT_TERM_CAP) -> LcuSegment:
-    """Flatten the truncated Taylor series of f + shift*identity into an
-    explicit unitary combination, identity-padded to 1-norm exactly 2.
+    """The truncated Taylor series of f + shift*identity as an explicit
+    unitary combination, identity-padded to 1-norm exactly 2.
 
-    The products of m support terms are built level by level in numpy,
-    level m from level m-1 in `itertools.product` order (prefix outer,
-    last factor inner): images by `(P * p_b)(i) = P(p_b(i))`,
-    coefficients by the prefix's times c_b. The arithmetic is CPython's,
-    term by term: the complex product as (ar*br - ai*bi, ar*bi + ai*br),
-    abs as hypot, and the divide by abs(coef) as the complex divide by
-    complex(abs(coef), 0.0), the rule CPython 3.10 to 3.13 applies to a
-    complex over a float. So every beta and phase, signed zeros
-    included, equals that of a product-by-product Python loop.
+    The series sum_{m<=K} (-i dt g)^m / m! of the shifted element g is
+    summed in C[S_n], each power the one below convolved with g, so it
+    has one coefficient c per permutation. The pad 2 - sum_m
+    (dt |g|_1)^m / m! of the product expansion is added to the identity's
+    coefficient, and each permutation becomes one term, beta = |c| and
+    phase = c/|c|. Products that merge onto one permutation lose 1-norm
+    by the triangle inequality; a cancelling identity pair, phases +1 and
+    -1 and beta half that slack each, makes it up, so the betas sum to 2
+    and <0|W|0> is still (Taylor sum + pad)/2.
 
-    Equal (permutation, phase) pairs are merged by one stable sort on
-    byte-row keys of the images and both phase parts, so the m = 0 term
-    and the padding share one identity entry. Merged terms keep the
-    order of their first occurrence and its phase; betas are summed in
-    enumeration order. A second sort, on the merged terms' keys alone,
-    numbers the distinct permutations and gives each its rows.
-
-    A NaN or negative delta_t is refused with ValueError.
+    `term_cap` bounds the Taylor products sum_m |supp g|^m, which bound
+    the products the convolutions walk. A NaN or negative delta_t is
+    refused with ValueError.
     """
     if not delta_t >= 0.0:
         raise ValueError(f"need delta_t >= 0, got {delta_t}")
-    shifted = add(f, scale(delta(identity(f.n)), shift))
-    supp = list(shifted.terms)
-    term_count = sum(len(supp)**m for m in range(taylor_k + 1))
+    ident = identity(f.n)
+    shifted = add(f, scale(delta(ident), shift))
+    term_count = sum(shifted.term_count**m for m in range(taylor_k + 1))
     if term_count > term_cap:
         raise ResourceLimitError(
             f"flattened segment has {term_count} terms (cap {term_cap}); "
             "lower K or use a sparser element"
         )
-
-    images, weights, ph_re, ph_im = _taylor_products(supp, f.n, delta_t, taylor_k, term_count)
-    keys = _row_keys(images)
-    # the sort, like a dict key, takes -0.0 and 0.0 as equal; entry 0
-    # opens group 0, which the pad tops up
-    entry_group, firsts = _first_occurrence_groups(*keys.T, ph_re, ph_im)
-    betas = np.zeros(len(firsts))
-    np.add.at(betas, entry_group, weights)
-
-    s_now = math.fsum(betas.tolist())
+    x = delta_t * shifted.one_norm
+    s_now = math.fsum(x**m / math.factorial(m) for m in range(max(taylor_k, 0) + 1))
     pad = 2.0 - s_now
     if pad < -1e-9:
         raise ValueError(f"segment 1-norm {s_now} exceeds 2; delta_t too large")
-    if pad > 0.0:
-        betas[0] += pad
 
-    # set part by part: re + 1j*im would turn a -0.0 real part into 0.0
-    phases = np.empty(len(firsts), dtype=complex)
-    phases.real, phases.imag = ph_re[firsts], ph_im[firsts]
-    perm_ids, perm_firsts = _first_occurrence_groups(*keys[firsts].T)
-    by_perm = np.argsort(perm_ids, kind="stable")
-    perms = tuple(Permutation(tuple(row)) for row in
-                  (images[firsts[perm_firsts]].astype(np.intp) + 1).tolist())
+    power = delta(ident)
+    total = scale(power, 1.0 + max(pad, 0.0))  # the m = 0 term and the pad
+    for m in range(1, taylor_k + 1):
+        power = scale(convolve(power, shifted), -1j * delta_t / m)
+        total = add(total, power)
+
+    coefs = np.array([c for _, c in total.terms], dtype=complex)
+    betas = np.abs(coefs)
+    phases = coefs / betas
+    term_perms = list(total.support())
+    slack = 2.0 - math.fsum(betas.tolist())
+    if slack > 0.0:
+        betas = np.append(betas, [slack / 2.0, slack / 2.0])
+        phases = np.append(phases, [1.0, -1.0])
+        term_perms += [ident, ident]
+    first = {}
+    perm_ids = np.array([first.setdefault(p, len(first)) for p in term_perms], dtype=np.intp)
+    perms = tuple(first)
     return LcuSegment(
         n=f.n,
         delta_t=delta_t,
@@ -392,7 +319,8 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         perm_ids=perm_ids,
         perms=perms,
         words=tuple(tuple(swap_network(p)) for p in perms),
-        perm_rows=tuple(np.split(by_perm, np.cumsum(np.bincount(perm_ids))[:-1])),
+        perm_rows=tuple(np.split(np.argsort(perm_ids, kind="stable"),
+                                 np.cumsum(np.bincount(perm_ids))[:-1])),
     )
 
 

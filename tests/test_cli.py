@@ -326,6 +326,29 @@ def test_transforms_over_s0_are_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+MALFORMED_TABLES = {"one-entry-rows": "[[1], [2]]", "objects": '[{"a": 1}, {"a": 2}]',
+                    "null": "[null, 1]", "number": "5"}
+MALFORMED_ELEMENTS = {"no-terms": '{"n": 4}', "list": "[1, 2]",
+                      "term-list": '{"n": 4, "terms": [1]}',
+                      "perm-number": '{"n": 4, "terms": [{"perm": 5}]}'}
+
+
+@pytest.mark.parametrize("kind, text", [*(("table", t) for t in MALFORMED_TABLES.values()),
+                                         *(("element", t) for t in MALFORMED_ELEMENTS.values())],
+                         ids=[*MALFORMED_TABLES, *MALFORMED_ELEMENTS])
+def test_malformed_json_is_a_usage_error(tmp_path, f_path, capsys, kind, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if kind == "table":
+        argv = ["fft", "--table", str(bad), "--n", "2"]
+    else:
+        argv = ["convolve", "--f", str(bad), "--g", f_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_exit_codes():
     assert main(["verify", "schur-weyl"]) == 0
     assert main(["verify", "no-such-suite"]) == 2
@@ -333,7 +356,7 @@ def test_verify_exit_codes():
 
 VERIFY_LCU_E2E = """\
 PASS lcu-vs-oracle: |lcu - exact| = 4.421e-07 at eps = 1e-03, M=2 K=7
-PASS ancilla-vs-block: |explicit ancilla run - block formula| = 9.305e-16
+PASS ancilla-vs-block: |explicit ancilla run - block formula| = 7.850e-17
 PASS pauli-vs-swap: |pauli route - swap route| = 4.677e-07 at 2*eps = 2e-03
 PASS cross-block: exact cross-block = 0.000e+00, lcu cross-block = 0.000e+00
 PASS gate-bound: 3MK*Wmax = 168 <= span^2 MK = 224
@@ -342,15 +365,17 @@ suite lcu-e2e: 5/5 checks passed
 
 
 def test_verify_lcu_e2e_output_pinned():
-    """The ancilla-vs-block figure is rounding noise whose last digits
-    follow BLAS's summation order, so the run pins BLAS to one thread."""
+    """The ancilla-vs-block figure is rounding noise, but the explicit
+    segment's register has 32 rows, too few for BLAS to split a sum
+    across threads: one and two BLAS threads print the same bytes."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
-    run = subprocess.run([sys.executable, "-m", "snsim.cli", "verify", "lcu-e2e"], env=env,
-                         capture_output=True, text=True, timeout=120, check=False)
-    assert (run.returncode, run.stdout) == (0, VERIFY_LCU_E2E)
+    for threads in ("1", "2"):
+        env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(paths)}
+        run = subprocess.run([sys.executable, "-m", "snsim.cli", "verify", "lcu-e2e"], env=env,
+                             capture_output=True, text=True, timeout=120, check=False)
+        assert (run.returncode, run.stdout) == (0, VERIFY_LCU_E2E), f"{threads} BLAS threads"
 
 
 def test_resource_cap_exit(tmp_path, f_path):

@@ -4,8 +4,9 @@ The stacked-select engine sums the select operators in BLAS order, so
 it is not bit-identical to a loop over terms; the tolerances below are
 fixed in advance: 1e-13 * ||f||_1 * max|a| for one Hamiltonian
 application and 1e-12 for a whole matrix element between unit vectors.
-The level-order `build_segment` must match the product-by-product
-build bit for bit, and `run_segment` its full-register version.
+The group-algebra `build_segment` must match the product-by-product
+build as an operator, to 1e-14 per permutation, and `run_segment` its
+full-register version bit for bit.
 """
 
 import cmath
@@ -167,10 +168,7 @@ def test_engine_applies_h_3mk_times(monkeypatch):
 def reference_segment(f, delta_t, taylor_k, shift):
     """The product-by-product build: every m-fold product of the shifted
     support in `itertools.product` order, merged in a dict by
-    (images, phase); returns the terms as (beta, phase, perm, word).
-    The divide by abs(coef) is written as a complex divide, the rule of
-    CPython 3.10 to 3.13 for a complex over a float, so the reference
-    does not change with the interpreter."""
+    (images, phase); returns the terms as (beta, phase, perm, word)."""
     shifted = add(f, scale(delta(identity(f.n)), shift)) if shift else f
     supp = list(shifted.terms)
     merged = {}
@@ -192,24 +190,17 @@ def reference_segment(f, delta_t, taylor_k, shift):
             weight = base * abs(coef)
             if weight == 0.0:
                 continue
-            put(weight, (-1j) ** m * coef / complex(abs(coef), 0.0), prod)
+            put(weight, (-1j) ** m * coef / abs(coef), prod)
     pad = 2.0 - math.fsum(entry[0] for entry in merged.values())
     if pad > 0.0:
         put(pad, 1 + 0j, identity(f.n))
     return [(beta, phase, p, tuple(swap_network(p))) for beta, phase, p in merged.values()]
 
 
-def bits(beta, phase, perm, word):
-    """A term with its floats as hex, so that signed zeros count."""
-    return beta.hex(), phase.real.hex(), phase.imag.hex(), perm.images, word
-
-
 def cancelling_identity():
     """An element with an identity term, with dt and the shift that
-    cancels it exactly: the shifted support has no identity. The
-    inverse 3-cycle's coefficient, the conjugate -0.25 - 0j, gives a
-    phase whose real part is -0.0 before the divide by
-    complex(abs(coef), 0.0) and 0.0 after it."""
+    cancels it exactly: the shifted support has no identity, so only
+    the products give the identity its coefficient."""
     n = 4
     cyc = parse_permutation("(1 2 3)", n=n)
     c = -0.25 + 0j
@@ -221,9 +212,9 @@ def cancelling_identity():
 
 
 def sixteen_points():
-    """n = 16, whose images take two int64 codes, of 15 columns and of
-    one; the imaginary 3-cycle coefficient does for the phase's
-    imaginary part what the case above does for its real part."""
+    """n = 16, far past any n!-sized table: the segment walks only the
+    products of its five support terms. The imaginary 3-cycle
+    coefficient gives phases off the real and imaginary axes."""
     n = 16
     cyc = parse_permutation("(1 9 16)", n=n)
     f = algebra_element(n, {transposition(n, 1, 16): 0.4, transposition(n, 8, 9): 0.3,
@@ -247,26 +238,29 @@ SMALL_CASES = {
 
 @pytest.mark.parametrize("case", [*SMALL_CASES.values(), sixteen_points],
                          ids=[*SMALL_CASES, "n16"])
-def test_build_segment_matches_product_loop_bit_for_bit(case):
+def test_build_segment_matches_product_loop_as_an_operator(case):
     f, delta_t, taylor_k, shift = case()
     seg = build_segment(f, delta_t, taylor_k, shift=shift)
-    ref = reference_segment(f, delta_t, taylor_k, shift)
-    expect = [bits(*term) for term in ref]
-    got = [bits(term.beta, term.phase, term.perm, term.word) for term in seg.terms]
-    assert got == expect
+    expect, got = {}, {}
+    for beta, phase, p, _ in reference_segment(f, delta_t, taylor_k, shift):
+        expect[p.images] = expect.get(p.images, 0j) + beta * phase
+    for term in seg.terms:
+        got[term.perm.images] = got.get(term.perm.images, 0j) + term.beta * term.phase
+    assert max(abs(got.get(key, 0j) - expect.get(key, 0j)) for key in {*got, *expect}) <= 1e-14
+    assert abs(math.fsum(seg.betas.tolist()) - 2.0) <= 1e-15
     assert seg.terms is seg.terms
     assert seg.phase_correction == cmath.exp(1j * delta_t * shift)
 
-    # the arrays that run_segment reads hold the same terms
-    assert [(beta.hex(), z.real.hex(), z.imag.hex())
-            for beta, z in zip(seg.betas.tolist(), seg.phases.tolist())] == \
-        [term[:3] for term in expect]
-    distinct = list(dict.fromkeys(images for *_, images, _ in expect))
+    # one term per permutation, but for the identity's cancelling pair
+    images = [term.perm.images for term in seg.terms]
+    ident = identity(f.n).images
+    assert all(images.count(key) == 1 for key in images if key != ident)
+    # the arrays that run_segment reads
+    distinct = list(dict.fromkeys(images))
     assert [p.images for p in seg.perms] == distinct
-    assert [(seg.perms[k].images, seg.words[k]) for k in seg.perm_ids.tolist()] == \
-        [term[3:] for term in expect]
+    assert seg.words == tuple(tuple(swap_network(p)) for p in seg.perms)
     assert [rows.tolist() for rows in seg.perm_rows] == \
-        [[j for j, term in enumerate(expect) if term[3] == images] for images in distinct]
+        [[j for j, key in enumerate(images) if key == perm] for perm in distinct]
 
 
 def refuse(*args, **kwargs):
@@ -275,7 +269,7 @@ def refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("delta_t", [math.nan, -0.1, -math.inf])
 def test_build_segment_refuses_nan_or_negative_delta_t(delta_t, monkeypatch):
-    monkeypatch.setattr(lcu, "_taylor_products", refuse)
+    monkeypatch.setattr(lcu, "convolve", refuse)
     with pytest.raises(ValueError, match=re.escape(f"need delta_t >= 0, got {delta_t}")):
         build_segment(heisenberg_like(4), delta_t, 3)
 
@@ -302,8 +296,8 @@ def test_term_cap_refuses_with_the_same_message():
 
 def reference_run_segment(state, seg):
     """`run_segment` over the whole power-of-two ancilla register: the
-    Householder update and the identity rows' phases touch every row,
-    and each term is asked whether its permutation is the identity."""
+    Householder update touches every row, and the rows are grouped by
+    permutation in a dict over the terms, the identity's like any other."""
     d = state.d
     terms = seg.terms
     anc = 1 << max(0, (len(terms) - 1).bit_length())
@@ -324,8 +318,6 @@ def reference_run_segment(state, seg):
     phases[: len(terms)] = [term.phase for term in terms]
     groups, by_perm = {}, {}
     for j, term in enumerate(terms):
-        if term.perm.is_identity():
-            continue
         groups.setdefault(term.perm.images, []).append(j)
         by_perm[term.perm.images] = term.perm
     gathers = {
@@ -333,17 +325,12 @@ def reference_run_segment(state, seg):
                  permutation_index_map(by_perm[images].inverse(), d))
         for images, rows in groups.items()
     }
-    ident_phase = np.ones(anc, dtype=bool)
-    for rows, _, _ in gathers.values():
-        ident_phase[rows] = False
-
     def apply_w(joint, dagger):
         joint = prep_apply(joint)
         col = phases.conj() if dagger else phases
         for rows, fwd, inv in gathers.values():
             g = inv if dagger else fwd
             joint[rows] = col[rows, None] * joint[np.ix_(rows, g)]
-        joint[ident_phase] *= col[ident_phase, None]
         return prep_apply(joint)
 
     joint = np.zeros((anc, d**state.n), dtype=complex)
@@ -367,20 +354,6 @@ def test_run_segment_matches_full_register_bit_for_bit(case, d):
     expect = reference_run_segment(state, seg)
     assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
         [(z.real.hex(), z.imag.hex()) for z in expect.tolist()]
-
-
-@pytest.mark.parametrize("n", [1, 4, 8, 9, 12, 16, 300])
-def test_row_keys_are_equal_exactly_when_rows_are(n):
-    # up to eight uint8 images take one key; n = 300 takes uint16 images
-    rng = np.random.default_rng(n)
-    dtype = np.min_scalar_type(n - 1)
-    rows = np.array([rng.permutation(n) for _ in range(5)], dtype=dtype)
-    images = rows[rng.integers(len(rows), size=30)]
-    keys = lcu._row_keys(images)
-    assert keys.dtype == np.uint64
-    assert keys.shape == (30, -(-n * dtype.itemsize // 8))
-    for a, b in itertools.product(range(30), repeat=2):
-        assert (keys[a] == keys[b]).all() == (images[a] == images[b]).all()
 
 
 def test_identity_takes_the_path_of_every_permutation(monkeypatch):
