@@ -159,14 +159,18 @@ def cmd_dims(args) -> int:
     return 0
 
 
+def _check_irrep(shape, cap: int) -> None:
+    """Refuse an irrep whose dimension, by the hook-length formula, is past
+    cap, before its tableaux are enumerated: 15+15 has 9,694,845 of them."""
+    dim = hook_length_dimension(shape)
+    if dim > cap:
+        raise ResourceLimitError(f"irrep {shape} has dimension {dim}, past the dense cap {cap}")
+
+
 def cmd_irrep(args) -> int:
     shape = parse_partition(args.shape)
     p = parse_permutation(args.perm, n=shape.n)
-    # before the tableaux are enumerated: 15+15 has 9,694,845 of them
-    dim = hook_length_dimension(shape)
-    if dim > DEFAULT_DENSE_CAP:
-        raise ResourceLimitError(
-            f"irrep {shape} has dimension {dim}, past the dense cap {DEFAULT_DENSE_CAP}")
+    _check_irrep(shape, DEFAULT_DENSE_CAP)
     mat = yor(shape, p)
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -262,17 +266,23 @@ def cmd_young_basis(args) -> int:
 def cmd_matelem(args) -> int:
     f = _load_element(args.f)
     n, d = f.n, args.d
-    check_young_size(n, d, cap=args.cap_dense)
+    exact = args.method == "exact"
+    # the irrep oracle builds no d^n vector, so `exact` caps dim(shape)
+    # instead; the LCU routes build two Young vectors of d^n amplitudes
+    if not exact:
+        check_young_size(n, d, cap=args.cap_dense)
 
     def pick(label: str):
         shape, ti, wi = _parse_basis_label(label)
         check_young_label(n, d, shape, ti, wi)
+        if exact:
+            _check_irrep(shape, args.cap_dense)
         return shape, ti, wi
 
     u_label, v_label = pick(args.u), pick(args.v)
     oracle = irrep_matrix_element(u_label, v_label, f, args.t)
 
-    if args.method == "exact":
+    if exact:
         value = oracle
         m_seg = taylor_k = swaps = 0
         closed = 0.0

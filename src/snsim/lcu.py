@@ -34,18 +34,20 @@ of H is one gather and one contraction; both plan with `_schedule`, whose
 `SimulationPlan` is the one record of a run's schedule. Both refuse,
 before the segment loop, a run whose select applications pass
 `DEFAULT_WORK_CAP`: M * K applications of the stacked rows on the fast
-path, and on the explicit one M times one application per distinct
-permutation of the segment, each charged (rows) * d^n gathers but at
+path, and on the explicit one 3 M, one per W, each gathering every term
+of the segment; an application is charged (rows) * d^n gathers but at
 least `DEFAULT_CALL_FLOOR`.
 
 The explicit path's segment comes from `build_segment`, which sums the
 Taylor polynomial in the group algebra, one power of the shifted
 element per order, so each permutation takes one term; a cancelling
-identity pair tops the 1-norm up to 2 where products merged. The
-segment keeps its terms as arrays (betas, phases, a permutation id per
-term, the distinct permutations with their SWAP words, and each
-permutation's rows), which is all `run_segment` reads; `LcuSegment.terms`
-builds the per-term `LcuTerm` view only when asked.
+identity pair tops the 1-norm up to 2 where products merged. The powers
+are (images, coefficients) arrays, each convolved with the element as
+one image array of all its products, and no `Permutation` is composed.
+The segment keeps its terms as arrays (betas, phases, a permutation id
+per term, and the distinct permutations with their SWAP words), which is
+all `run_segment` reads; `LcuSegment.terms` builds the per-term
+`LcuTerm` view only when asked.
 
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
@@ -72,8 +74,18 @@ from .errors import (
     SizeMismatchError,
 )
 from .permutation import Permutation, identity
-from .group_algebra import AlgebraElement, add, convolve, delta, scale
-from .quditsim import Statevector, check_request, permutation_index_map, swap_network
+from .group_algebra import (
+    AlgebraElement,
+    _complex_products,
+    _convolve_arrays,
+    _sum_by_rows,
+    _term_coefficients,
+    _term_images,
+    add,
+    delta,
+    scale,
+)
+from .quditsim import Statevector, check_request, permutation_index_maps, swap_network
 
 __all__ = [
     "SimulationPlan",
@@ -130,8 +142,8 @@ class LcuSegment:
     Held as arrays: term j has betas[j], phases[j] and the permutation
     perms[perm_ids[j]], whose adjacent-SWAP word is words[perm_ids[j]].
     perms lists the distinct permutations in the order of their first
-    term, and perm_rows[k] the terms on perms[k], in ascending order.
-    None of it depends on the qudit dimension d.
+    term: lexicographic by one-line images, the identity's pad pair last
+    and on the identity's id. None of it depends on the qudit dimension d.
     """
 
     n: int
@@ -144,7 +156,6 @@ class LcuSegment:
     perm_ids: np.ndarray
     perms: tuple[Permutation, ...]
     words: tuple[tuple[int, ...], ...]
-    perm_rows: tuple[np.ndarray, ...]
 
     @functools.cached_property
     def terms(self) -> tuple[LcuTerm, ...]:
@@ -270,9 +281,14 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     -1 and beta half that slack each, makes it up, so the betas sum to 2
     and <0|W|0> is still (Taylor sum + pad)/2.
 
+    Each power is kept as (images, coefficients) arrays, and
+    `Permutation` objects are made only for the segment's distinct
+    permutations; every value is the one that `convolve`, `scale` and
+    `add` on elements give, bit for bit.
+
     `term_cap` bounds the Taylor products sum_m |supp g|^m, which bound
-    the products the convolutions walk. A NaN or negative delta_t is
-    refused with ValueError.
+    the (p, q) pairs each convolution holds at once. A NaN or negative
+    delta_t is refused with ValueError.
     """
     if not delta_t >= 0.0:
         raise ValueError(f"need delta_t >= 0, got {delta_t}")
@@ -290,24 +306,37 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     if pad < -1e-9:
         raise ValueError(f"segment 1-norm {s_now} exceeds 2; delta_t too large")
 
-    power = delta(ident)
-    total = scale(power, 1.0 + max(pad, 0.0))  # the m = 0 term and the pad
+    # each power of the shifted element as (images, coefficients) arrays,
+    # the one below convolved with it and scaled by -i dt / m
+    supp, coefs = _term_images(shifted), _term_coefficients(shifted)
+    ident_row = np.arange(f.n)
+    power = (ident_row[None, :], np.ones(1, dtype=complex))
+    parts = [(power[0], np.array([(1.0 + max(pad, 0.0)) * (1 + 0j)]))]  # m = 0 and the pad
     for m in range(1, taylor_k + 1):
-        power = scale(convolve(power, shifted), -1j * delta_t / m)
-        total = add(total, power)
+        images, prods = _convolve_arrays(*power, supp, coefs)
+        prods = _complex_products(-1j * delta_t / m, prods)
+        keep = prods != 0
+        power = (images[keep], prods[keep])
+        parts.append(power)
+    # summed per permutation in order of m: the sums start from 0j and
+    # hold no -0.0, so this is `add` power by power, bit for bit
+    images, total = _sum_by_rows(np.concatenate([im for im, _ in parts]),
+                                 np.concatenate([c for _, c in parts]))
 
-    coefs = np.array([c for _, c in total.terms], dtype=complex)
-    betas = np.abs(coefs)
-    phases = coefs / betas
-    term_perms = list(total.support())
+    betas = np.abs(total)
+    phases = total / betas
+    perm_ids = np.arange(len(total), dtype=np.intp)
     slack = 2.0 - math.fsum(betas.tolist())
     if slack > 0.0:
+        # the identity, if it kept a term, is the first row in lex order
+        has_ident = len(images) > 0 and np.array_equal(images[0], ident_row)
+        if not has_ident:
+            images = np.vstack([images, ident_row])
+        pad_id = 0 if has_ident else len(images) - 1
         betas = np.append(betas, [slack / 2.0, slack / 2.0])
         phases = np.append(phases, [1.0, -1.0])
-        term_perms += [ident, ident]
-    first = {}
-    perm_ids = np.array([first.setdefault(p, len(first)) for p in term_perms], dtype=np.intp)
-    perms = tuple(first)
+        perm_ids = np.append(perm_ids, np.array([pad_id, pad_id], dtype=np.intp))
+    perms = tuple(map(Permutation, map(tuple, (images + 1).tolist())))
     return LcuSegment(
         n=f.n,
         delta_t=delta_t,
@@ -319,8 +348,6 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         perm_ids=perm_ids,
         perms=perms,
         words=tuple(tuple(swap_network(p)) for p in perms),
-        perm_rows=tuple(np.split(np.argsort(perm_ids, kind="stable"),
-                                 np.cumsum(np.bincount(perm_ids))[:-1])),
     )
 
 
@@ -330,7 +357,9 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     PREPARE loads sqrt(beta_j/2) (Householder completion of the
     column), SELECT applies phase_j P(perm_j) on the ancilla-j branch,
     and after the amplification round the unnormalized ancilla-0 block
-    is returned, including the segment's shift phase correction.
+    is returned, including the segment's shift phase correction. Each
+    SELECT is one gather of the live rows through a (terms x d^n) index
+    table, and its inverse for W^dag, built once per call.
     """
     if seg.n != state.n:
         raise SizeMismatchError(f"segment on {seg.n} sites vs state on {state.n}")
@@ -354,17 +383,18 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
         joint[:live] -= np.outer(house[:live], (2.0 / h2) * (house @ joint))
         return joint
 
-    # rows sharing a permutation, the identity's too (its maps are the
-    # arange), are gathered together, rows first and then columns, so no
-    # index table of rows x d^n is built; only the phase varies per row
-    gathers = [(rows, permutation_index_map(p, d), permutation_index_map(p.inverse(), d))
-               for p, rows in zip(seg.perms, seg.perm_rows)]
+    # SELECT gathers every live row at once through a (terms x d^n) index
+    # table, the identity's rows through the arange; W^dag through the
+    # inverse table, each row's own gather scattered back
+    rows = np.arange(live)[:, None]
+    fwd = permutation_index_maps(seg.perms, d)[seg.perm_ids]
+    inv = np.empty_like(fwd)
+    inv[rows, fwd] = np.arange(d**state.n)
 
     def apply_w(joint: np.ndarray, dagger: bool) -> np.ndarray:
         joint = prep_apply(joint)
         col = seg.phases.conj() if dagger else seg.phases
-        for rows, fwd, inv in gathers:
-            joint[rows] = col[rows, None] * joint[rows][:, inv if dagger else fwd]
+        joint[:live] = col[:, None] * joint[rows, inv if dagger else fwd]
         return prep_apply(joint)
 
     joint = np.zeros((anc, d**state.n), dtype=complex)
@@ -437,9 +467,8 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
     dim = su.amplitudes.size
     if explicit:
         seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift, term_cap=term_cap)
-        # run_segment gathers the rows of each distinct permutation at once
-        perms = len(seg.perms)
-        _check_work(pl.M, perms, -(-len(seg.betas) // perms), dim)
+        # run_segment applies W three times, each one gather of every term
+        _check_work(pl.M, 3, len(seg.betas), dim)
         state = sv
         for _ in range(pl.M):
             state = run_segment(state, seg)
@@ -447,7 +476,7 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
 
     shifted = add(f, scale(delta(identity(f.n)), pl.shift))
     _check_work(pl.M, pl.K, shifted.term_count, dim)
-    fast = _FastSegment([permutation_index_map(p, su.d) for p, _ in shifted.terms],
+    fast = _FastSegment(permutation_index_maps(shifted.support(), su.d),
                         [c for _, c in shifted.terms], None, pl)
     return fast.element(su.amplitudes, sv.amplitudes), gate_count_report(pl, f)
 

@@ -45,7 +45,13 @@ import numpy as np
 
 from .errors import DEFAULT_DENSE_CAP, ResourceLimitError, SizeMismatchError
 from .permutation import Permutation, adjacent_word, transposition
-from .young import Partition, StandardTableau, enumerate_partitions, weyl_dimension
+from .young import (
+    Partition,
+    StandardTableau,
+    enumerate_partitions,
+    hook_length_dimension,
+    weyl_dimension,
+)
 from .yor import dimension, generator_tables, tableaux as _tableaux, yor
 
 if TYPE_CHECKING:
@@ -56,6 +62,7 @@ __all__ = [
     "YoungBasisVector",
     "basis_state",
     "permutation_index_map",
+    "permutation_index_maps",
     "apply_permutation",
     "permutation_matrix",
     "swap_network",
@@ -142,14 +149,24 @@ def _digit_counts(d: int, n: int) -> np.ndarray:
     return np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
 
 
+def permutation_index_maps(perms, d: int) -> np.ndarray:
+    """The (len(perms), d^n) stack of `permutation_index_map`s of
+    permutations of one n, as one product with the digit table: row k
+    weighs digit s of index i by the place value d^(n-q) of the slot q
+    that reads it, p_k(q) = s. Nothing larger than the result is
+    allocated; no permutations give a (0, 0) stack."""
+    if not len(perms):
+        return np.zeros((0, 0), dtype=np.intp)
+    images = np.array([p.images for p in perms], dtype=np.intp)
+    n = images.shape[1]
+    place = np.zeros(images.shape, dtype=np.intp)
+    np.put_along_axis(place, images - 1, d ** np.arange(n - 1, -1, -1), axis=1)
+    return place @ _digit_table_cached(d, n).T
+
+
 def permutation_index_map(p: Permutation, d: int) -> np.ndarray:
     """g with (P(p) psi) = psi[g]: g[i] has digit j_{p(q)} of i at slot q."""
-    n = p.n
-    digits = _digit_table_cached(d, n)
-    g = np.zeros(d**n, dtype=np.intp)
-    for q in range(1, n + 1):
-        g += digits[:, p(q) - 1] * d ** (n - q)
-    return g
+    return permutation_index_maps((p,), d)[0]
 
 
 def apply_permutation(s: Statevector, p: Permutation) -> Statevector:
@@ -350,10 +367,11 @@ def check_young_label(n: int, d: int, shape: Partition, tableau_index: int,
     """ValueError unless young_basis(n, d) has a member with this label:
     a shape of n with at most d rows, a tableau index below dim(shape)
     and a weight index below the Weyl dimension of shape at d. A negative
-    index is refused, not wrapped."""
+    index is refused, not wrapped. dim(shape) comes from the hook-length
+    formula, so no tableau is enumerated."""
     _check_register(d, n)
     if not (shape in enumerate_partitions(n, max_rows=min(n, d))
-            and 0 <= tableau_index < dimension(shape)
+            and 0 <= tableau_index < hook_length_dimension(shape)
             and 0 <= weight_index < weyl_dimension(shape, d)):
         raise ValueError(
             f"no Young basis vector {(str(shape), tableau_index, weight_index)} "
@@ -461,7 +479,7 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
     if not math.isfinite(t):
         raise ValueError(f"need finite t, got {t}")
     _check_dense(su.d, su.n, cap)
-    maps = [(permutation_index_map(p, su.d), c) for p, c in f.terms]
+    maps = permutation_index_maps(f.support(), su.d)
     # one integer per weight: the digit counts read in base n + 1
     code = _digit_counts(su.d, su.n) @ (su.n + 1) ** np.arange(su.d)
     value = 0j
@@ -471,7 +489,7 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
         rows = np.flatnonzero(code == sector)
         # the terms in f's order from 0j, as `pi_tilde_dense` sums them
         block = np.zeros((len(rows), len(rows)), dtype=complex)
-        for g, c in maps:
+        for g, (_, c) in zip(maps, f.terms):
             block[np.arange(len(rows)), np.searchsorted(rows, g[rows])] += c
         evals, evecs = np.linalg.eigh(block)
         a = evecs.conj().T @ sv.amplitudes[rows]

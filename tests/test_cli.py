@@ -293,6 +293,52 @@ def test_matelem_unbounded_work_is_resource_error(f_path, deadline, t):
                  "--t", t, "--eps", "0.5", "--method", "lcu-swap"]) == 3
 
 
+def element_path(tmp_path, f, name):
+    path = tmp_path / name
+    path.write_text(json.dumps(element_to_json_dict(f)))
+    return str(path)
+
+
+def test_matelem_exact_answers_past_the_statevector_cap(tmp_path, deadline):
+    # 2^16 amplitudes are past the default cap, but the irrep oracle
+    # builds none: its (14,2) block is 104 x 104
+    from snsim.quditsim import irrep_matrix_element
+    from snsim.young import parse_partition
+
+    f = group_algebra.random_hermitian_k_local(16, 3, 12, seed=3)
+    path = element_path(tmp_path, f, "f16.json")
+    deadline(10)
+    code, text = run_to_file(tmp_path, ["matelem", "--f", path, "--u", "14+2:0:0",
+                                        "--v", "14+2:5:0", "--t", "0.7", "--method", "exact"])
+    assert code == 0
+    rec = json.loads(text)
+    shape = parse_partition("14+2")
+    expect = irrep_matrix_element((shape, 0, 0), (shape, 5, 0), f, 0.7)
+    assert expect != 0
+    assert (rec["value_re"], rec["value_im"]) == (expect.real, expect.imag)
+    assert (rec["oracle_re"], rec["oracle_im"]) == (expect.real, expect.imag)
+    # the LCU routes build the two 2^16-amplitude vectors, and still refuse
+    assert main(["matelem", "--f", path, "--u", "14+2:0:0", "--v", "14+2:5:0", "--t", "0.7",
+                 "--method", "lcu-swap"]) == 3
+
+
+def test_matelem_exact_caps_the_irrep_dimension(tmp_path, deadline, capsys):
+    # 15+15 has 9,694,845 standard tableaux: refused before any is listed
+    f = algebra_element(30, {transposition(30, 1, 2): 0.5})
+    path = element_path(tmp_path, f, "f30.json")
+    deadline(10)
+    assert main(["matelem", "--f", path, "--u", "15+15:0:0", "--v", "15+15:0:0",
+                 "--t", "1.0", "--method", "exact"]) == 3
+    assert capsys.readouterr().err == \
+        "resource limit: irrep 15+15 has dimension 9694845, past the dense cap 16384\n"
+    # a lower --cap-dense refuses a smaller irrep: 14+2 has dimension 104
+    f16 = element_path(tmp_path, algebra_element(16, {transposition(16, 1, 2): 0.5}), "f16.json")
+    argv = ["matelem", "--f", f16, "--u", "14+2:0:0", "--v", "14+2:0:0", "--t", "1.0",
+            "--method", "exact"]
+    assert main(argv + ["--cap-dense", "103"]) == 3
+    assert main(argv + ["--cap-dense", "104"]) == 0
+
+
 def test_bench_csv_shape_and_determinism(tmp_path):
     argv = ["bench", "--n-range", "4:5", "--seed", "7"]
     code, text = run_to_file(tmp_path, argv, "b1.csv")

@@ -25,19 +25,42 @@ from snsim.group_algebra import (
     random_hermitian_k_local,
     scale,
 )
-from snsim.permutation import adjacent_word, enumerate_sn, identity, locality, parse_permutation
+from snsim.permutation import (
+    Permutation,
+    adjacent_word,
+    enumerate_sn,
+    identity,
+    locality,
+    parse_permutation,
+    transposition,
+)
 from snsim.yor import dimension
 from snsim.young import Partition, enumerate_partitions
 
 
-def brute_convolve(f, g):
-    # oracle: (f*g)(s) = sum_t f(t) g(t^-1 s), expanded term by term
+def reference_convolve(f, g):
+    """(f*g)(s) = sum_t f(t) g(t^-1 s), expanded term by term: the loop
+    over (p, q) pairs that `convolve` replaced, summing from 0j in a dict."""
     out = {}
     for p, a in f.terms:
         for q, b in g.terms:
             r = p * q
             out[r] = out.get(r, 0j) + a * b
-    return out
+    return algebra_element(f.n, out)
+
+
+def hex_terms(h):
+    return [(p.images, c.real.hex(), c.imag.hex()) for p, c in h.terms]
+
+
+def random_sparse(rng, n, size):
+    """size draws of a random permutation of n with a random complex
+    coefficient; repeated draws merge."""
+    out = {}
+    for _ in range(size):
+        p = Permutation(tuple(int(i) + 1 for i in rng.permutation(n)))
+        out[p] = out.get(p, 0j) + complex(rng.standard_normal(), rng.standard_normal())
+    return algebra_element(n, out)
 
 
 def random_element(n, seed, sparse=None):
@@ -65,9 +88,42 @@ def test_convolution_matches_expansion_oracle():
         f = random_element(4, seed, sparse=6)
         g = random_element(4, 100 + seed, sparse=5)
         h = convolve(f, g)
-        oracle = brute_convolve(f, g)
-        for p, c in oracle.items():
+        oracle = reference_convolve(f, g)
+        for p, c in oracle.terms:
             assert abs(h.coefficient(p) - c) < 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 15, 16, 20])
+def test_convolve_equals_the_dict_loop_bit_for_bit(n):
+    # n = 15 has the largest base-n codes that fit int64; past it rows are
+    # grouped by lexsort
+    rng = np.random.default_rng(n)
+    e, empty = delta(identity(n)), algebra_element(n, {})
+    for size_f, size_g in [(1, 1), (3, 7), (12, 10), (25, 30)]:
+        f, g = random_sparse(rng, n, size_f), random_sparse(rng, n, size_g)
+        for a, b in [(f, g), (g, f), (f, f), (e, f), (f, e), (empty, f), (f, empty),
+                     (empty, empty), (e, e)]:
+            h = convolve(a, b)
+            assert hex_terms(h) == hex_terms(reference_convolve(a, b))
+            assert all(isinstance(c, complex) and c != 0 for _, c in h.terms)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_convolve_drops_products_that_cancel_to_zero(n):
+    # (x e + x s)(y s - y e + z c): the pairs landing on e and on s give
+    # x y and x (-y), which cancel exactly, so neither keeps a term
+    rng = np.random.default_rng(100 + n)
+    x, y, z = (complex(rng.standard_normal(), rng.standard_normal()) for _ in range(3))
+    e, s, c = identity(n), transposition(n, 1, 2), parse_permutation("(1 2 3)", n=n)
+    f = algebra_element(n, {e: x, s: x})
+    g = algebra_element(n, {s: y, e: -y, c: z})
+    h = convolve(f, g)
+    assert set(h.support()) == {c, s * c}
+    assert hex_terms(h) == hex_terms(reference_convolve(f, g))
+    # (e + s)(s - e) = s^2 - e = 0
+    zero = convolve(algebra_element(n, {e: 1, s: 1}), algebra_element(n, {s: 1, e: -1}))
+    assert zero.terms == () == reference_convolve(
+        algebra_element(n, {e: 1, s: 1}), algebra_element(n, {s: 1, e: -1})).terms
 
 
 def test_delta_identity_is_convolution_unit():

@@ -19,9 +19,16 @@ import pytest
 
 from test_lcu import heisenberg_like
 
-from snsim import lcu
+from snsim import lcu, permutation
 from snsim.errors import ResourceLimitError
-from snsim.group_algebra import add, algebra_element, delta, random_hermitian_k_local, scale
+from snsim.group_algebra import (
+    add,
+    algebra_element,
+    convolve,
+    delta,
+    random_hermitian_k_local,
+    scale,
+)
 from snsim.lcu import LN2, build_segment, matrix_element, plan, run_segment
 from snsim.pauli_expand import (
     _flip_mask_groups,
@@ -259,8 +266,8 @@ def test_build_segment_matches_product_loop_as_an_operator(case):
     distinct = list(dict.fromkeys(images))
     assert [p.images for p in seg.perms] == distinct
     assert seg.words == tuple(tuple(swap_network(p)) for p in seg.perms)
-    assert [rows.tolist() for rows in seg.perm_rows] == \
-        [[j for j, key in enumerate(images) if key == perm] for perm in distinct]
+    assert seg.perm_ids.dtype == np.intp
+    assert seg.perm_ids.tolist() == [distinct.index(key) for key in images]
 
 
 def refuse(*args, **kwargs):
@@ -269,9 +276,17 @@ def refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("delta_t", [math.nan, -0.1, -math.inf])
 def test_build_segment_refuses_nan_or_negative_delta_t(delta_t, monkeypatch):
-    monkeypatch.setattr(lcu, "convolve", refuse)
+    # every step that builds part of the segment refuses to run, so the
+    # check passes only if it comes before all of them; setattr raises
+    # if build_segment stops reading one of these names
+    f = heisenberg_like(4)
+    for name in ("identity", "delta", "scale", "add", "_term_images", "_convolve_arrays",
+                 "_sum_by_rows", "swap_network"):
+        monkeypatch.setattr(lcu, name, refuse)
+    with pytest.raises(AssertionError, match="called"):
+        build_segment(f, 0.1, 3)
     with pytest.raises(ValueError, match=re.escape(f"need delta_t >= 0, got {delta_t}")):
-        build_segment(heisenberg_like(4), delta_t, 3)
+        build_segment(f, delta_t, 3)
 
 
 def test_explicit_path_builds_no_term_objects(monkeypatch):
@@ -284,6 +299,23 @@ def test_explicit_path_builds_no_term_objects(monkeypatch):
     assert (got.real.hex(), got.imag.hex()) == (expect.real.hex(), expect.imag.hex())
     for result in run_suite("lcu-e2e"):
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_segment_path_composes_no_permutation(monkeypatch):
+    # convolve and the segment work on image arrays: a Permutation product
+    # is never formed, so a compose that raises changes nothing
+    f = random_hermitian_k_local(4, 3, 3, seed=11)
+    pl = plan(f, 0.8, 1e-3)
+    rng = np.random.default_rng(5)
+    u, v = (Statevector(2, 4, random_unit(rng, 2, 4)) for _ in range(2))
+    runs = (lambda: convolve(f, f).terms,
+            lambda: build_segment(f, pl.delta_t, pl.K, shift=pl.shift).terms,
+            lambda: matrix_element(u, v, f, 0.8, 1e-3, explicit=True)[0])
+    expect = [run() for run in runs]
+    monkeypatch.setattr(permutation, "compose", refuse)
+    with pytest.raises(AssertionError, match="called"):
+        f.support()[0] * f.support()[1]
+    assert [run() for run in runs] == expect
 
 
 def test_term_cap_refuses_with_the_same_message():

@@ -1,14 +1,18 @@
-"""Property tests: group laws, the convolution theorem, the irrep oracle
-and the element JSON form on generated inputs."""
+"""Property tests: group laws, convolution against the dict loop, the
+convolution theorem, the irrep oracle and the element JSON form on
+generated inputs."""
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
+from test_group_algebra import hex_terms, reference_convolve
+
 from snsim.cli import _json_text
 from snsim.group_algebra import (
     algebra_element,
     convolution_theorem_check,
+    convolve,
     element_from_json_dict,
     element_to_json_dict,
     random_hermitian_k_local,
@@ -63,6 +67,27 @@ def test_compose_is_associative_with_inverses(triple):
 def test_convolution_theorem_on_sparse_elements(pair):
     f, g = pair
     assert convolution_theorem_check(f, g) <= 1e-10
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two elements of one S_n whose coefficients are drawn from a few
+    small values, signed zero parts included, so that products collide,
+    cancel to exactly 0 and carry -0.0, besides arbitrary ones."""
+    n = draw(st.integers(1, 6))
+    small = st.sampled_from([1.0, -1.0, 0.5, -0.0, 0.0, 2.0, -0.25])
+    coefficients = st.one_of(
+        st.builds(complex, small, small),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+    terms = st.lists(st.tuples(permutations_of(n), coefficients), max_size=8)
+    return tuple(algebra_element(n, dict(draw(terms))) for _ in range(2))
+
+
+@PROPERTY
+@given(cancelling_pairs())
+def test_convolve_equals_the_dict_loop(pair):
+    f, g = pair
+    assert hex_terms(convolve(f, g)) == hex_terms(reference_convolve(f, g))
 
 
 @st.composite

@@ -433,6 +433,50 @@ def test_young_vector_builds_one_block_and_one_copy(monkeypatch):
     assert first.vector.amplitudes is not second.vector.amplitudes
 
 
+def site_loop_index_map(p, d):
+    """The gather of P(p) summed one site at a time: the reference loop
+    for the stacked builder."""
+    n = p.n
+    digits = quditsim._digit_table_cached(d, n)
+    g = np.zeros(d**n, dtype=np.intp)
+    for q in range(1, n + 1):
+        g += digits[:, p(q) - 1] * d ** (n - q)
+    return g
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_index_maps_equal_the_site_loop(d):
+    rng = np.random.default_rng(d)
+    for n in range(1, 7 if d < 4 else 6):
+        perms = list(enumerate_sn(n))
+        if len(perms) > 60:
+            perms = [perms[int(i)] for i in rng.choice(len(perms), 60, replace=False)]
+        stack = quditsim.permutation_index_maps(perms, d)
+        assert stack.shape == (len(perms), d**n)
+        assert stack.dtype == np.intp and stack.flags.c_contiguous
+        for p, row in zip(perms, stack):
+            assert np.array_equal(row, site_loop_index_map(p, d))
+            assert np.array_equal(permutation_index_map(p, d), row)
+    assert quditsim.permutation_index_maps((), d).shape == (0, 0)
+
+
+@pytest.mark.parametrize("count", [1, 40])
+def test_index_maps_allocate_no_temporary_larger_than_the_stack(count):
+    n, d = 12, 2
+    perms = random_hermitian_k_local(n, 3, count, seed=4).support()[:count]
+    quditsim._digit_table_cached(d, n)  # cached tables are not the call's
+    tracemalloc.start()
+    try:
+        stack = quditsim.permutation_index_maps(perms, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (count, d**n)
+    # the stack, at most one temporary of its size, and some slack; a
+    # site-major copy of the digit table alone would be 12 maps
+    assert peak <= 2 * stack.nbytes + 2**16
+
+
 def test_transposition_maps_match_permutation_index_map():
     for n, d in [(1, 2), (2, 2), (5, 3), (7, 2), (4, 4)]:
         maps = quditsim._transposition_maps(n, d)
