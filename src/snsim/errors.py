@@ -8,8 +8,8 @@ DEFAULT_FACTORIAL_CAP = 8
 
 # Largest Taylor product count, sum_m |supp|^m over m <= K, of one LCU
 # segment. It bounds the (p, q) pairs of each of build_segment's
-# convolutions, which hold their composite images at once, pairs x n x 8 B:
-# at the cap, 4 MB a site, so 64 MB at n = 16.
+# convolutions, whose composite images take pairs x n x 8 B, 4 MB a site
+# at the cap; `convolve` holds them a block at a time.
 DEFAULT_TERM_CAP = 500_000
 
 # Largest work an LCU run may ask for, in amplitude gathers: each select

@@ -147,45 +147,47 @@ def scale(f: AlgebraElement, a: complex) -> AlgebraElement:
     return algebra_element(f.n, {p: a * c for p, c in f.terms})
 
 
+# Entries of composite images one block of `convolve` holds at least,
+# 4 MB: a block grows to the distinct images kept so far, so the memory
+# stays within a small multiple of the product's own size.
+_CONVOLVE_BLOCK = 1 << 19
+
+
 def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """(f * g)(s) = sum_t f(t) g(t^-1 s); support multiplies pointwise.
 
     Bit for bit the loop over the pairs (p, q) of f's and g's terms in
     order, each product a * b added to its composite's sum from 0j, with
-    exact zeros dropped; it runs on image arrays (`_convolve_arrays`)."""
+    exact zeros dropped. It runs over blocks of f's terms: a block's
+    composite images P[:, Q], 0-based one-line rows, are sorted together
+    with the distinct images so far (`_sorted_rows`), and its products are
+    added to their sums by np.add.at in the pairs' order."""
     if f.n != g.n:
         raise SizeMismatchError(f"convolving elements of S_{f.n} and S_{g.n}")
-    images, coefs = _convolve_arrays(_term_images(f), _term_coefficients(f),
-                                     _term_images(g), _term_coefficients(g))
-    return AlgebraElement(f.n, tuple(zip(map(Permutation, map(tuple, (images + 1).tolist())),
-                                         coefs.tolist())))
-
-
-# ---------------------------------------------------------------------------
-# Elements as arrays: row k of an image array is the one-line form of a
-# permutation, less one; rows are sorted and distinct, as terms are.
-# ---------------------------------------------------------------------------
-
-
-def _term_images(f: AlgebraElement) -> np.ndarray:
-    """The (terms, n) image array of f's support, 0-based."""
-    images = np.array([p.images for p, _ in f.terms], dtype=np.intp)
-    return images.reshape(f.term_count, f.n) - 1
-
-
-def _term_coefficients(f: AlgebraElement) -> np.ndarray:
-    return np.array([c for _, c in f.terms], dtype=complex)
+    n = f.n
+    p_images, q_images = (np.array([p.images for p, _ in h.terms], dtype=np.intp)
+                          .reshape(h.term_count, n) - 1 for h in (f, g))
+    a, b = (np.array([c for _, c in h.terms], dtype=complex) for h in (f, g))
+    images, sums = np.empty((0, n), dtype=np.intp), np.empty(0, dtype=complex)
+    lo = 0
+    while lo < f.term_count:
+        hi = lo + max(1, max(_CONVOLVE_BLOCK, images.size) // max(1, g.term_count * n))
+        images, inverse = _sorted_rows(np.concatenate(
+            [images, p_images[lo:hi, q_images].reshape(-1, n)]))
+        merged = np.zeros(len(images), dtype=complex)
+        merged[inverse[:len(sums)]] = sums
+        np.add.at(merged, inverse[len(sums):],
+                  _complex_products(a[lo:hi, None], b[None, :]).reshape(-1))
+        sums, lo = merged, hi
+    keep = sums != 0
+    return AlgebraElement(n, tuple(zip(map(Permutation, map(tuple, (images[keep] + 1).tolist())),
+                                       sums[keep].tolist())))
 
 
 def _sorted_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an image array in lexicographic order, and for
-    each row its index among them. Rows are keyed by their base-n codes,
-    which fit int64 for n <= 15, and by `lexsort` past that."""
-    count, n = images.shape
-    if n <= 15:
-        codes = images @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        return images[first], inverse
+    """The distinct rows of a 2-D array in lexicographic order, and for
+    each row its index among them."""
+    count = len(images)
     order = np.lexsort(images.T[::-1])
     ordered = images[order]
     starts = np.ones(count, dtype=bool)
@@ -199,30 +201,10 @@ def _complex_products(a, b) -> np.ndarray:
     """a * b elementwise (broadcast) as Python multiplies complex numbers,
     (ar br - ai bi, ar bi + ai br), each step a separate float operation;
     numpy's complex multiply can differ from it in the last bit."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
-
-
-def _sum_by_rows(images: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The element sum_k coefs[k] delta(images[k]): each distinct row's
-    coefficients added from 0j in the order given, exact zeros dropped."""
-    rows, inverse = _sorted_rows(images)
-    sums = np.zeros(len(rows), dtype=complex)
-    np.add.at(sums, inverse, coefs)
-    keep = sums != 0
-    return rows[keep], sums[keep]
-
-
-def _convolve_arrays(p_images, a, q_images, b) -> tuple[np.ndarray, np.ndarray]:
-    """`convolve` of (p_images, a) and (q_images, b): all (p, q) products
-    at once, the composite images P[:, Q] and the coefficients a[j] b[k],
-    summed in the (p, q) loop order."""
-    n = p_images.shape[1]
-    return _sum_by_rows(p_images[:, q_images].reshape(-1, n),
-                        _complex_products(a[:, None], b[None, :]).reshape(-1))
 
 
 def left_translate(eta: Permutation, f: AlgebraElement) -> AlgebraElement:

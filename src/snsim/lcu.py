@@ -41,9 +41,9 @@ least `DEFAULT_CALL_FLOOR`.
 The explicit path's segment comes from `build_segment`, which sums the
 Taylor polynomial in the group algebra, one power of the shifted
 element per order, so each permutation takes one term; a cancelling
-identity pair tops the 1-norm up to 2 where products merged. The powers
-are (images, coefficients) arrays, each convolved with the element as
-one image array of all its products, and no `Permutation` is composed.
+identity pair tops the 1-norm up to 2 where products merged.
+`convolve` forms each power's products as one image array, so no
+`Permutation` is composed.
 The segment keeps its terms as arrays (betas, phases, a permutation id
 per term, and the distinct permutations with their SWAP words), which is
 all `run_segment` reads; `LcuSegment.terms` builds the per-term
@@ -74,17 +74,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .permutation import Permutation, identity
-from .group_algebra import (
-    AlgebraElement,
-    _complex_products,
-    _convolve_arrays,
-    _sum_by_rows,
-    _term_coefficients,
-    _term_images,
-    add,
-    delta,
-    scale,
-)
+from .group_algebra import AlgebraElement, add, convolve, delta, scale
 from .quditsim import Statevector, check_request, permutation_index_maps, swap_network
 
 __all__ = [
@@ -281,14 +271,9 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     -1 and beta half that slack each, makes it up, so the betas sum to 2
     and <0|W|0> is still (Taylor sum + pad)/2.
 
-    Each power is kept as (images, coefficients) arrays, and
-    `Permutation` objects are made only for the segment's distinct
-    permutations; every value is the one that `convolve`, `scale` and
-    `add` on elements give, bit for bit.
-
     `term_cap` bounds the Taylor products sum_m |supp g|^m, which bound
-    the (p, q) pairs each convolution holds at once. A NaN or negative
-    delta_t is refused with ValueError.
+    the (p, q) pairs each convolution forms. A NaN or negative delta_t
+    is refused with ValueError.
     """
     if not delta_t >= 0.0:
         raise ValueError(f"need delta_t >= 0, got {delta_t}")
@@ -306,37 +291,24 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     if pad < -1e-9:
         raise ValueError(f"segment 1-norm {s_now} exceeds 2; delta_t too large")
 
-    # each power of the shifted element as (images, coefficients) arrays,
-    # the one below convolved with it and scaled by -i dt / m
-    supp, coefs = _term_images(shifted), _term_coefficients(shifted)
-    ident_row = np.arange(f.n)
-    power = (ident_row[None, :], np.ones(1, dtype=complex))
-    parts = [(power[0], np.array([(1.0 + max(pad, 0.0)) * (1 + 0j)]))]  # m = 0 and the pad
+    power = delta(ident)
+    total = scale(power, 1.0 + max(pad, 0.0))  # the m = 0 term and the pad
     for m in range(1, taylor_k + 1):
-        images, prods = _convolve_arrays(*power, supp, coefs)
-        prods = _complex_products(-1j * delta_t / m, prods)
-        keep = prods != 0
-        power = (images[keep], prods[keep])
-        parts.append(power)
-    # summed per permutation in order of m: the sums start from 0j and
-    # hold no -0.0, so this is `add` power by power, bit for bit
-    images, total = _sum_by_rows(np.concatenate([im for im, _ in parts]),
-                                 np.concatenate([c for _, c in parts]))
+        power = scale(convolve(power, shifted), -1j * delta_t / m)
+        total = add(total, power)
 
-    betas = np.abs(total)
-    phases = total / betas
-    perm_ids = np.arange(len(total), dtype=np.intp)
+    coefs = np.array([c for _, c in total.terms], dtype=complex)
+    betas = np.abs(coefs)
+    phases = coefs / betas
+    term_perms = list(total.support())
     slack = 2.0 - math.fsum(betas.tolist())
     if slack > 0.0:
-        # the identity, if it kept a term, is the first row in lex order
-        has_ident = len(images) > 0 and np.array_equal(images[0], ident_row)
-        if not has_ident:
-            images = np.vstack([images, ident_row])
-        pad_id = 0 if has_ident else len(images) - 1
         betas = np.append(betas, [slack / 2.0, slack / 2.0])
         phases = np.append(phases, [1.0, -1.0])
-        perm_ids = np.append(perm_ids, np.array([pad_id, pad_id], dtype=np.intp))
-    perms = tuple(map(Permutation, map(tuple, (images + 1).tolist())))
+        term_perms += [ident, ident]
+    first = {}
+    perm_ids = np.array([first.setdefault(p, len(first)) for p in term_perms], dtype=np.intp)
+    perms = tuple(first)
     return LcuSegment(
         n=f.n,
         delta_t=delta_t,

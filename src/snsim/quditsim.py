@@ -368,9 +368,10 @@ def check_young_label(n: int, d: int, shape: Partition, tableau_index: int,
     a shape of n with at most d rows, a tableau index below dim(shape)
     and a weight index below the Weyl dimension of shape at d. A negative
     index is refused, not wrapped. dim(shape) comes from the hook-length
-    formula, so no tableau is enumerated."""
+    formula, so no tableau is enumerated, and neither check enumerates
+    partitions or grows with d."""
     _check_register(d, n)
-    if not (shape in enumerate_partitions(n, max_rows=min(n, d))
+    if not (shape.n == n and shape.rows <= d
             and 0 <= tableau_index < hook_length_dimension(shape)
             and 0 <= weight_index < weyl_dimension(shape, d)):
         raise ValueError(

@@ -120,15 +120,23 @@ def weyl_dimension(shape: Partition, d: int) -> int:
     prod_{1<=i<j<=d} (l_i - l_j + j - i) / (j - i) with the shape padded
     by zeros to d rows; exact integer arithmetic. Shapes with more than
     d rows have no GL(d) module and give 0.
+
+    Pairs of zero rows give 1, and row i against the zero rows j = r..d-1
+    (r = shape.rows, 0-based) gives prod_{k=r-i}^{d-1-i} (l_i + k) / k =
+    C(l_i + d-1-i, l_i) / C(l_i + r-1-i, l_i), so the work is polynomial
+    in the shape and does not grow with d.
     """
-    if shape.rows > d:
+    r = shape.rows
+    if r > d:
         return 0
-    lam = shape.padded(d)
+    lam = shape.parts
     num = den = 1
-    for i in range(d):
-        for j in range(i + 1, d):
+    for i in range(r):
+        for j in range(i + 1, r):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
+        num *= math.comb(lam[i] + d - 1 - i, lam[i])
+        den *= math.comb(lam[i] + r - 1 - i, lam[i])
     assert num % den == 0
     return num // den
 

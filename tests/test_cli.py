@@ -322,6 +322,22 @@ def test_matelem_exact_answers_past_the_statevector_cap(tmp_path, deadline):
                  "--method", "lcu-swap"]) == 3
 
 
+def test_matelem_exact_does_not_grow_with_d(tmp_path, f_path, deadline):
+    # the label check neither lists partitions of n nor loops over d, so a
+    # huge --d answers at once, with the value d = 2 gives
+    deadline(10)
+    records = []
+    for d, label in (("2", "4:0:4"), ("100000", "4:0:4"), ("100000", "4:0:99999")):
+        code, text = run_to_file(tmp_path, ["matelem", "--f", f_path, "--u", label, "--v", label,
+                                            "--t", "1.0", "--method", "exact", "--d", d])
+        assert code == 0
+        records.append(json.loads(text))
+    assert records[0] == records[1] == records[2]
+    # (4) has 5 weight copies at d = 2
+    assert main(["matelem", "--f", f_path, "--u", "4:0:5", "--v", "4:0:5", "--t", "1.0",
+                 "--method", "exact", "--d", "2"]) == 2
+
+
 def test_matelem_exact_caps_the_irrep_dimension(tmp_path, deadline, capsys):
     # 15+15 has 9,694,845 standard tableaux: refused before any is listed
     f = algebra_element(30, {transposition(30, 1, 2): 0.5})

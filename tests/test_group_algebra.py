@@ -1,10 +1,12 @@
 """Algebra elements, convolution, and the two Fourier transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from snsim import group_algebra
 from snsim.errors import ResourceLimitError, SizeMismatchError
 from snsim.group_algebra import (
     FourierCoefficients,
@@ -95,8 +97,6 @@ def test_convolution_matches_expansion_oracle():
 
 @pytest.mark.parametrize("n", [*range(1, 9), 15, 16, 20])
 def test_convolve_equals_the_dict_loop_bit_for_bit(n):
-    # n = 15 has the largest base-n codes that fit int64; past it rows are
-    # grouped by lexsort
     rng = np.random.default_rng(n)
     e, empty = delta(identity(n)), algebra_element(n, {})
     for size_f, size_g in [(1, 1), (3, 7), (12, 10), (25, 30)]:
@@ -124,6 +124,36 @@ def test_convolve_drops_products_that_cancel_to_zero(n):
     zero = convolve(algebra_element(n, {e: 1, s: 1}), algebra_element(n, {s: 1, e: -1}))
     assert zero.terms == () == reference_convolve(
         algebra_element(n, {e: 1, s: 1}), algebra_element(n, {s: 1, e: -1})).terms
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_convolve_in_blocks_equals_the_dict_loop_bit_for_bit(block, monkeypatch):
+    # small blocks split f's terms, so sums carry across blocks, and a
+    # pair of blocks cancels (e + s)(s - e) to zero
+    monkeypatch.setattr(group_algebra, "_CONVOLVE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (3, 4, 5):
+        e, s = identity(n), transposition(n, 1, 2)
+        f, g = random_sparse(rng, n, 30), random_sparse(rng, n, 20)
+        for a, b in [(f, g), (g, f), (delta(e), f), (algebra_element(n, {}), f),
+                     (algebra_element(n, {e: 1, s: 1}), algebra_element(n, {s: 1, e: -1}))]:
+            assert hex_terms(convolve(a, b)) == hex_terms(reference_convolve(a, b))
+
+
+def test_convolve_memory_stays_near_the_product_size(monkeypatch):
+    # two dense S_5 elements: 14,400 pairs, whose images at once would take
+    # 576,000 B; in blocks of 4,096 entries the peak stays below that
+    monkeypatch.setattr(group_algebra, "_CONVOLVE_BLOCK", 4096)
+    f = random_element(5, 7)
+    at_once = f.term_count**2 * 5 * 8
+    tracemalloc.start()
+    try:
+        h = convolve(f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hex_terms(h) == hex_terms(reference_convolve(f, f))
+    assert peak < at_once / 2, peak
 
 
 def test_delta_identity_is_convolution_unit():

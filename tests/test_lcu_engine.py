@@ -280,8 +280,7 @@ def test_build_segment_refuses_nan_or_negative_delta_t(delta_t, monkeypatch):
     # check passes only if it comes before all of them; setattr raises
     # if build_segment stops reading one of these names
     f = heisenberg_like(4)
-    for name in ("identity", "delta", "scale", "add", "_term_images", "_convolve_arrays",
-                 "_sum_by_rows", "swap_network"):
+    for name in ("identity", "delta", "scale", "add", "convolve", "swap_network"):
         monkeypatch.setattr(lcu, name, refuse)
     with pytest.raises(AssertionError, match="called"):
         build_segment(f, 0.1, 3)
@@ -302,8 +301,8 @@ def test_explicit_path_builds_no_term_objects(monkeypatch):
 
 
 def test_segment_path_composes_no_permutation(monkeypatch):
-    # convolve and the segment work on image arrays: a Permutation product
-    # is never formed, so a compose that raises changes nothing
+    # convolve works on image arrays: a Permutation product is never
+    # formed, so a compose that raises changes nothing
     f = random_hermitian_k_local(4, 3, 3, seed=11)
     pl = plan(f, 0.8, 1e-3)
     rng = np.random.default_rng(5)

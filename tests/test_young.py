@@ -105,6 +105,25 @@ def test_weyl_dimension_vs_ssyt_oracle():
                 assert weyl_dimension(lam, d) == brute_ssyt_count(lam, d), (lam, d)
 
 
+def test_weyl_dimension_equals_the_pair_product():
+    # the product over all pairs i < j < d of the zero-padded shape
+    def pair_product(lam, d):
+        padded = lam.padded(d)
+        num = den = 1
+        for i in range(d):
+            for j in range(i + 1, d):
+                num *= padded[i] - padded[j] + j - i
+                den *= j - i
+        return num // den
+
+    for n in range(1, 9):
+        for d in range(2, 13):
+            for lam in enumerate_partitions(n, max_rows=d):
+                assert weyl_dimension(lam, d) == pair_product(lam, d), (lam, d)
+    # one row: the symmetric power, C(n + d - 1, n)
+    assert weyl_dimension(Partition((4,)), 100_000) == math.comb(100_003, 4)
+
+
 def test_weyl_dimension_too_many_rows_is_zero():
     assert weyl_dimension(Partition((1, 1, 1)), 2) == 0
     assert weyl_dimension(Partition((2, 2, 1, 1)), 3) == 0
