@@ -267,6 +267,8 @@ def cmd_matelem(args) -> int:
     f = _load_element(args.f)
     n, d = f.n, args.d
     exact = args.method == "exact"
+    if args.method == "lcu-pauli" and d != 2:
+        raise ValueError("Pauli route needs qubits (d = 2)")
     # the irrep oracle builds no d^n vector, so `exact` caps dim(shape)
     # instead; the LCU routes build two Young vectors of d^n amplitudes
     if not exact:

@@ -27,16 +27,17 @@ column is completed to a unitary. The fast path applies that block
 formula directly to the statevector; `run_segment` keeps the explicit
 ancilla register and is cross-checked against the fast path in tests.
 
-Both routes run the fast path on one engine, `_FastSegment`, which
-stacks the shifted Hamiltonian's select operators (one permutation per
-support term, or one Pauli flip mask per row) so that each application
-of H is one gather and one contraction; both plan with `_schedule`, whose
-`SimulationPlan` is the one record of a run's schedule. Both refuse,
-before the segment loop, a run whose select applications pass
-`DEFAULT_WORK_CAP`: M * K applications of the stacked rows on the fast
-path, and on the explicit one 3 M, one per W, each gathering every term
-of the segment; an application is charged (rows) * d^n gathers but at
-least `DEFAULT_CALL_FLOOR`.
+Both routes plan with `_schedule`, whose `SimulationPlan` is the one
+record of a run's schedule, and run the fast path in `_fast_element`:
+one engine, `_FastSegment`, stacks one permutation row per term of
+f + shift * identity, so each application of H is one gather and one
+contraction. The Pauli route plans from its expansion's 1-norm but
+applies the same operator on these rows. Both refuse, before the
+segment loop, a run whose select applications pass `DEFAULT_WORK_CAP`:
+M * K applications of those rows on the fast path, and on the explicit
+one 3 M, one per W, each gathering every term of the segment; an
+application is charged (rows) * d^n gathers but at least
+`DEFAULT_CALL_FLOOR`.
 
 The explicit path's segment comes from `build_segment`, which sums the
 Taylor polynomial in the group algebra, one power of the shifted
@@ -146,6 +147,11 @@ class LcuSegment:
     perm_ids: np.ndarray
     perms: tuple[Permutation, ...]
     words: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def _gather_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """run_segment's forward and inverse (terms x d^n) index tables, by d."""
+        return {}
 
     @functools.cached_property
     def terms(self) -> tuple[LcuTerm, ...]:
@@ -331,7 +337,8 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     and after the amplification round the unnormalized ancilla-0 block
     is returned, including the segment's shift phase correction. Each
     SELECT is one gather of the live rows through a (terms x d^n) index
-    table, and its inverse for W^dag, built once per call.
+    table, and its inverse for W^dag, built on the segment's first run
+    at this d and kept with it.
     """
     if seg.n != state.n:
         raise SizeMismatchError(f"segment on {seg.n} sites vs state on {state.n}")
@@ -359,9 +366,13 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     # table, the identity's rows through the arange; W^dag through the
     # inverse table, each row's own gather scattered back
     rows = np.arange(live)[:, None]
-    fwd = permutation_index_maps(seg.perms, d)[seg.perm_ids]
-    inv = np.empty_like(fwd)
-    inv[rows, fwd] = np.arange(d**state.n)
+    tables = seg._gather_tables
+    if d not in tables:
+        fwd = permutation_index_maps(seg.perms, d)[seg.perm_ids]
+        inv = np.empty_like(fwd)
+        inv[rows, fwd] = np.arange(d**state.n)
+        tables[d] = fwd, inv
+    fwd, inv = tables[d]
 
     def apply_w(joint: np.ndarray, dagger: bool) -> np.ndarray:
         joint = prep_apply(joint)
@@ -381,22 +392,18 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
 
 
 class _FastSegment:
-    """Ancilla-free segment block 3T - 4 T Tdag T over stacked select rows,
-    H a = sum_q coefs[q] * phases[q] * a[gathers[q]] (phases all one when
-    None); `sched`, the run's SimulationPlan, gives M, dt, K, pad, shift."""
+    """Ancilla-free segment block 3T - 4 T Tdag T over stacked permutation
+    rows, H a = sum_q coefs[q] * a[gathers[q]]; `sched`, the run's
+    SimulationPlan, gives M, dt, K, pad, shift."""
 
-    def __init__(self, gathers, coefs, phases, sched):
+    def __init__(self, gathers, coefs, sched):
         self.gathers = np.asarray(gathers, dtype=np.intp)
         self.coefs = np.asarray(coefs, dtype=complex)
-        self.phases = phases
         self.sched = sched
 
     def _ham(self, amps: np.ndarray, factor: complex) -> np.ndarray:
         """factor * H amps, the factor folded into the contraction."""
-        stack = amps[self.gathers]
-        if self.phases is not None:
-            stack *= self.phases
-        return (factor * self.coefs) @ stack
+        return (factor * self.coefs) @ amps[self.gathers]
 
     def _t_apply(self, amps: np.ndarray, dagger: bool) -> np.ndarray:
         rot = 1j * self.sched.delta_t if dagger else -1j * self.sched.delta_t
@@ -436,21 +443,28 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
         return su.inner(sv), report
 
     pl = plan(f, t, epsilon)
-    dim = su.amplitudes.size
     if explicit:
         seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift, term_cap=term_cap)
         # run_segment applies W three times, each one gather of every term
-        _check_work(pl.M, 3, len(seg.betas), dim)
+        _check_work(pl.M, 3, len(seg.betas), su.amplitudes.size)
         state = sv
         for _ in range(pl.M):
             state = run_segment(state, seg)
         return su.inner(state), gate_count_report(pl, f)
 
+    return _fast_element(su, sv, f, pl), gate_count_report(pl, f)
+
+
+def _fast_element(su: Statevector, sv: Statevector, f: AlgebraElement,
+                  pl: SimulationPlan) -> complex:
+    """<su| exp(-it pi~(f)) |sv> by the fast path under the schedule pl,
+    run on the permutation rows of f + pl.shift * identity; both routes
+    call it with their own plan."""
     shifted = add(f, scale(delta(identity(f.n)), pl.shift))
-    _check_work(pl.M, pl.K, shifted.term_count, dim)
+    _check_work(pl.M, pl.K, shifted.term_count, su.amplitudes.size)
     fast = _FastSegment(permutation_index_maps(shifted.support(), su.d),
-                        [c for _, c in shifted.terms], None, pl)
-    return fast.element(su.amplitudes, sv.amplitudes), gate_count_report(pl, f)
+                        [c for _, c in shifted.terms], pl)
+    return fast.element(su.amplitudes, sv.amplitudes)
 
 
 def gate_count_report(pl: SimulationPlan, f: AlgebraElement) -> GateReport:

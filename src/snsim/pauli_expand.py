@@ -11,12 +11,14 @@ expansion's 1-norm is at most 2^(l-1). The exact per-cycle count
 is the binomial theorem for (3/2 + 1/2)^(k-1); `binomial_identity_check`
 verifies it in exact rational arithmetic.
 
-`matrix_element_pauli` reruns the segmented LCU pipeline on the Pauli
-sum with the planner and engine of `lcu` (`_schedule`, `_FastSegment`):
-each select round applies one k-local Pauli operator, so a run costs
-3 M K of them. The engine gets the strings grouped by X/Y flip mask:
-strings sharing a mask (XX and YY on a pair, I and ZZ) gather the same
-x ^ mask and fold into one row weighted by the sum of their c * phase.
+`matrix_element_pauli` reruns the segmented LCU pipeline with the Pauli
+sum as its decomposition: `lcu._schedule` plans M, the shift and K from
+the expansion's 1-norm, and each select round applies one k-local Pauli
+operator, so a run costs 3 M K of them. The block depends on the
+decomposition only through that schedule, so `lcu._fast_element` applies
+f + shift * identity, the same operator as g + shift * I, on the swap
+route's permutation rows. `string_index_phase` writes one string as a
+gather and a phase, a reference independent of the route.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeMismatchError
-from .lcu import GateReport, _FastSegment, _check_work, _schedule
+from .lcu import GateReport, _fast_element, _schedule
 from .permutation import Permutation, transposition_decomposition
 from .group_algebra import AlgebraElement
 from .quditsim import check_request
@@ -268,31 +270,15 @@ def closed_form_pauli_gates(t: float, c_max: float, k: int, n: int, epsilon: flo
     return t * big_l * float(n) ** k * la / max(math.log(la), 1.0)
 
 
-def _flip_mask_groups(g: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """Stack g by X/Y flip mask: (gathers, weights) of shape (Q, 2^n)
-    with g psi = sum_q weights[q] * psi[gathers[q]].
-
-    A string's gather is x ^ mask, so gather[0] is its mask; strings
-    sharing a mask (XX and YY on a pair, I and ZZ) sum their c * phase
-    into one row.
-    """
-    rows: dict[int, list] = {}
-    for ps, c in g.terms:
-        gather, phase = string_index_phase(ps)
-        row = rows.setdefault(int(gather[0]), [gather, 0j])
-        row[1] = row[1] + c * phase
-    return (np.array([gather for gather, _ in rows.values()]),
-            np.array([weight for _, weight in rows.values()]))
-
-
 def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
                          epsilon: float) -> tuple[complex, GateReport]:
     """<u| exp(-it pi~(f)) |v> on qubits via the Pauli-expanded LCU.
 
     Same segmentation, identity shift, and amplification block as the
-    permutation route, but the 1-norm, the shift, and the select
-    unitaries all live in the Pauli expansion; each select round costs
-    one k-local Pauli operator, 3 M K per run.
+    permutation route, but the 1-norm and the shift come from the Pauli
+    expansion g, and each select round costs one k-local Pauli operator,
+    3 M K per run. The block is applied as f + shift * identity, the same
+    operator as g + shift * I, on the permutation rows.
     """
     su, sv = check_request(u, v, f)
     if su.d != 2:
@@ -306,11 +292,7 @@ def matrix_element_pauli(u, v, f: AlgebraElement, t: float,
         return su.inner(sv), report
 
     pl = _schedule(g.one_norm, g.coefficient(pauli_identity(f.n)).real, t, epsilon)
-    shifted = pauli_sum(f.n, [*g.terms, (pauli_identity(f.n), pl.shift)])
-    gathers, weights = _flip_mask_groups(shifted)
-    _check_work(pl.M, pl.K, len(gathers), su.amplitudes.size)
-    fast = _FastSegment(gathers, np.ones(len(gathers)), weights, pl)
-    value = fast.element(su.amplitudes, sv.amplitudes)
+    value = _fast_element(su, sv, f, pl)
 
     actual = 3 * pl.M * pl.K
     report = GateReport(

@@ -234,13 +234,17 @@ def test_matelem_lcu_builds_only_the_labelled_vectors(method, tmp_path, f_path, 
 
 
 # value_*, M, K, swap_count and closed_form_estimate of the README chain
-# pair, as printed before the oracle moved to the irrep block
+# pair, as printed before the oracle moved to the irrep block; lcu-pauli's
+# value as printed once it applied H on the permutation rows
 README_CHAIN_LCU = {
     "lcu-swap": '"value_re":-0.18074314480472201,"value_im":-0.41266964651596189,'
                 '"M":2,"K":8,"swap_count":48,"closed_form_estimate":308.8031780540104',
-    "lcu-pauli": '"value_re":-0.1807431485802114,"value_im":-0.41266966483361001,'
+    "lcu-pauli": '"value_re":-0.18074314858021134,"value_im":-0.41266966483361006,'
                  '"M":4,"K":8,"swap_count":96,"closed_form_estimate":77.200794513502601',
 }
+# lcu-pauli's value on the Pauli strings' flip-mask rows: the same operator,
+# so the two differ by rounding only
+README_CHAIN_PAULI_FLIP_MASK = complex(-0.1807431485802114, -0.41266966483361001)
 
 
 @pytest.mark.parametrize("method", sorted(README_CHAIN_LCU))
@@ -255,6 +259,23 @@ def test_matelem_lcu_record_pinned(method, tmp_path, f_path):
     doc = json.loads(text)
     oracle = complex(-0.18074321015025777, -0.4126696857564669)
     assert abs(complex(doc["oracle_re"], doc["oracle_im"]) - oracle) <= 1e-12
+    if method == "lcu-pauli":
+        assert abs(doc["value_re"] - README_CHAIN_PAULI_FLIP_MASK.real) <= 1e-16
+        assert abs(doc["value_im"] - README_CHAIN_PAULI_FLIP_MASK.imag) <= 1e-16
+
+
+@pytest.mark.parametrize("n,cap", [(9, None), (12, "1000000")])
+def test_matelem_pauli_refuses_qudits_before_any_vector(n, cap, tmp_path, matelem_calls,
+                                                        capsys, deadline):
+    # a usage error, refused before the d^n size check and the Young vectors
+    path = element_path(tmp_path, algebra_element(n, {transposition(n, 1, 2): 0.5}), "fn.json")
+    label = f"{n - 1}+1:0:0"
+    argv = ["matelem", "--f", path, "--u", label, "--v", label, "--t", "1.0",
+            "--method", "lcu-pauli", "--d", "3"]
+    deadline(10)
+    assert main(argv + (["--cap-dense", cap] if cap else [])) == 2
+    assert matelem_calls == []
+    assert capsys.readouterr().err == "error: Pauli route needs qubits (d = 2)\n"
 
 
 def test_matelem_bad_eps_is_usage_error(f_path, deadline):

@@ -11,6 +11,7 @@ full-register version bit for bit.
 
 import cmath
 import itertools
+import json
 import math
 import re
 
@@ -19,24 +20,24 @@ import pytest
 
 from test_lcu import heisenberg_like
 
-from snsim import lcu, permutation
+from snsim import lcu, pauli_expand, permutation
+from snsim.cli import main
 from snsim.errors import ResourceLimitError
 from snsim.group_algebra import (
     add,
     algebra_element,
     convolve,
     delta,
+    element_to_json_dict,
     random_hermitian_k_local,
     scale,
 )
 from snsim.lcu import LN2, build_segment, matrix_element, plan, run_segment
 from snsim.pauli_expand import (
-    _flip_mask_groups,
     element_to_pauli,
     matrix_element_pauli,
     pauli_identity,
     string_index_phase,
-    sum_dense,
 )
 from snsim.permutation import identity, parse_permutation, transposition
 from snsim.quditsim import Statevector, permutation_index_map, swap_network
@@ -88,25 +89,13 @@ def test_stacked_swap_ham_matches_term_loop(d):
     n = 6
     f = random_hermitian_k_local(n, 3, 5, seed=21 + d)
     gathers, coefs = swap_stack(f, d)
-    engine = lcu._FastSegment(gathers, coefs, None, plan(f, 1.0, 1e-6))
+    engine = lcu._FastSegment(gathers, coefs, plan(f, 1.0, 1e-6))
     a = random_unit(np.random.default_rng(d), d, n)
     expect = np.zeros_like(a)
     for (_, c), g in zip(f.terms, gathers):
         expect += c * a[g]
     got = engine._ham(a, 1.0)
     assert np.max(np.abs(got - expect)) <= 1e-13 * f.one_norm * np.max(np.abs(a))
-
-
-def test_flip_mask_groups_match_dense_pauli_sum():
-    n = 6
-    f = random_hermitian_k_local(n, 3, 5, seed=5)
-    g = element_to_pauli(f)
-    gathers, weights = _flip_mask_groups(g)
-    assert len(gathers) <= g.term_count
-    a = random_unit(np.random.default_rng(4), 2, n)
-    got = lcu._FastSegment(gathers, np.ones(len(gathers)), weights, None)._ham(a, 1.0)
-    expect = sum_dense(g) @ a
-    assert np.max(np.abs(got - expect)) <= 1e-13 * g.one_norm * np.max(np.abs(a))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -124,10 +113,14 @@ def test_swap_route_matches_loop_kernel(d):
     assert abs(got - expect) <= 1e-12
 
 
-def test_pauli_route_matches_loop_kernel():
-    n, t, eps = 6, 1.3, 1e-6
-    f = random_hermitian_k_local(n, 3, 5, seed=13)
-    rng = np.random.default_rng(14)
+# the route applies H on the permutation rows; the reference applies the
+# expansion one Pauli string at a time, through string_index_phase
+@pytest.mark.parametrize("seed", [13, 31, 47])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pauli_route_matches_loop_kernel(n, seed):
+    t, eps = 1.3, 1e-6
+    f = random_hermitian_k_local(n, 3, 5, seed=seed)
+    rng = np.random.default_rng(seed + 1)
     u, v = random_unit(rng, 2, n), random_unit(rng, 2, n)
     got, report = matrix_element_pauli(Statevector(2, n, u), Statevector(2, n, v), f, t, eps)
 
@@ -147,6 +140,28 @@ def test_pauli_route_matches_loop_kernel():
     parts.append((shift, np.arange(2**n), 1.0))
     expect = LoopSegment(parts, t / segments, taylor_k, pad).element(u, v, segments, t, shift)
     assert abs(got - expect) <= 1e-12
+
+
+def test_pauli_route_builds_no_string_gather(monkeypatch, tmp_path):
+    n = 6
+    f = random_hermitian_k_local(n, 3, 5, seed=13)
+    rng = np.random.default_rng(14)
+    u, v = Statevector(2, n, random_unit(rng, 2, n)), Statevector(2, n, random_unit(rng, 2, n))
+    expect = matrix_element_pauli(u, v, f, 1.3, 1e-6)
+    chain = algebra_element(4, {transposition(4, 1, 2): 0.35, transposition(4, 2, 3): 0.25,
+                                transposition(4, 3, 4): 0.5})
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(element_to_json_dict(chain)))
+    argv = ["matelem", "--f", str(path), "--u", "3+1:0:0", "--v", "3+1:1:0", "--t", "1.0",
+            "--eps", "1e-4", "--method", "lcu-pauli", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    record = (tmp_path / "out.json").read_text()
+    monkeypatch.setattr(pauli_expand, "string_index_phase", refuse)
+    with pytest.raises(AssertionError, match="called"):
+        pauli_expand.string_index_phase(pauli_identity(n))
+    assert matrix_element_pauli(u, v, f, 1.3, 1e-6) == expect
+    assert main(argv) == 0
+    assert (tmp_path / "out.json").read_text() == record
 
 
 def test_engine_applies_h_3mk_times(monkeypatch):
@@ -399,3 +414,31 @@ def test_identity_takes_the_path_of_every_permutation(monkeypatch):
     monkeypatch.setattr(lcu.Permutation, "is_identity", refuse)
     assert run_segment(state, seg).amplitudes.tobytes() == expect.tobytes()
     assert lcu.gate_count_report(pl, f) == report
+
+
+def test_explicit_run_builds_its_index_tables_once(monkeypatch):
+    # run_segment keeps a segment's gather tables per d, so the M runs of
+    # one matrix element build them once and a run at another d its own
+    f = random_hermitian_k_local(4, 3, 3, seed=11)
+    rng = np.random.default_rng(5)
+    u, v = (Statevector(2, 4, random_unit(rng, 2, 4)) for _ in range(2))
+    calls = []
+    original = lcu.permutation_index_maps
+
+    def counting(perms, d):
+        calls.append(d)
+        return original(perms, d)
+
+    monkeypatch.setattr(lcu, "permutation_index_maps", counting)
+    _, report = matrix_element(u, v, f, 2.0, 1e-3, explicit=True)
+    assert report.M >= 2 and calls == [2]
+
+    pl = plan(f, 0.8, 1e-3)
+    states = {d: Statevector(d, 4, random_unit(np.random.default_rng(d), d, 4)) for d in (2, 3)}
+    expect = {d: run_segment(state, build_segment(f, pl.delta_t, pl.K, shift=pl.shift))
+              for d, state in states.items()}
+    seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift)
+    calls.clear()
+    for d in (2, 3, 2, 3):
+        assert run_segment(states[d], seg).amplitudes.tobytes() == expect[d].amplitudes.tobytes()
+    assert calls == [2, 3]
