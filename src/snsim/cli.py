@@ -52,7 +52,7 @@ from .quditsim import (
     check_young_size,
     irrep_matrix_element,
     young_basis,
-    young_vector,
+    young_vectors,
 )
 from .verify import run_suite
 from .yor import yor
@@ -289,8 +289,7 @@ def cmd_matelem(args) -> int:
         m_seg = taylor_k = swaps = 0
         closed = 0.0
     else:
-        u = young_vector(n, d, *u_label, cap=args.cap_dense)
-        v = u if v_label == u_label else young_vector(n, d, *v_label, cap=args.cap_dense)
+        u, v = young_vectors(n, d, (u_label, v_label), cap=args.cap_dense)
         route = lcu.matrix_element if args.method == "lcu-swap" else matrix_element_pauli
         value, report = route(u, v, f, args.t, args.eps)
         m_seg, taylor_k, swaps, closed = report.M, report.K, report.actual, report.closed_form

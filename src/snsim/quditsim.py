@@ -16,11 +16,13 @@ the remaining SU(d) copies are generated by lowering operators, and the
 companion tableau vectors are produced by the orthogonal-representation
 recurrence, so the S_n action on the result has exactly the matrix
 elements of `yor`. It runs once per block on the stacked weight copies,
-one gather per tableau exchange edge of `yor.generator_tables`, and every
-vector keeps the weight its copy was built at. `young_basis` builds every
-block; `young_vector` builds one member by the same steps on its block
-alone, transporting only its own weight copy, and equals the matching
-`young_basis` member bit for bit.
+one gather per edge of a breadth-first tree over the tableau exchange
+edges of `yor.generator_tables`, and every vector keeps the weight its
+copy was built at. `young_basis` builds every block in full.
+`young_vectors` builds a few labelled members by the same steps: one
+block per distinct shape, its copies only up to the highest weight index
+asked for, and its tableau vectors only along the tree paths to the
+tableaux asked for; each equals its `young_basis` member bit for bit.
 
 Two oracles give <u| exp(-it pi~(f)) |v>. `exact_matrix_element` takes
 any two statevectors. A permutation keeps each digit's count, so pi~(f)
@@ -70,6 +72,7 @@ __all__ = [
     "apply_local_unitary_everywhere",
     "young_basis",
     "young_vector",
+    "young_vectors",
     "check_young_size",
     "check_young_label",
     "check_request",
@@ -291,16 +294,23 @@ def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int,
     return _canonical_sign(v / np.linalg.norm(v))
 
 
-def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int) -> list[tuple[tuple, np.ndarray]]:
-    """All weight copies of the block as (weight, vector) pairs, top
-    weight first, lex-descending.
+def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int,
+                 last: int | None = None) -> list[tuple[tuple, np.ndarray]]:
+    """The weight copies of the block as (weight, vector) pairs, top
+    weight first, lex-descending: all of them, or those up to index
+    `last`.
 
-    Every lower weight space is spanned by single lowering steps from
+    Copies are built in that order, and a copy at weight mu is lowered
+    only from weights above mu, so the build stops once copy `last`
+    exists and every copy up to it is the one a full build makes. Every
+    lower weight space is spanned by single lowering steps from
     already-built weights; double Gram-Schmidt in a fixed candidate
-    order makes the outcome deterministic.
+    order makes the outcome deterministic. A full build is checked
+    against the Weyl dimension.
     """
     top = tuple(lam.padded(d))
-    copies: dict[tuple[int, ...], list[np.ndarray]] = {top: [v_top]}
+    ordered = [(top, v_top)]
+    by_weight: dict[tuple[int, ...], list[np.ndarray]] = {top: [v_top]}
     for mu in _compositions(n, d):
         if mu >= top:
             continue
@@ -311,7 +321,9 @@ def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int) -> list[tupl
             nu = list(mu)
             nu[a - 1] += 1
             nu[a] -= 1
-            for source in copies.get(tuple(nu), ()):
+            for source in by_weight.get(tuple(nu), ()):
+                if last is not None and len(ordered) > last:
+                    return ordered
                 cand = _lower(source, d, n, a)
                 for _ in range(2):
                     for u in kept:
@@ -319,40 +331,61 @@ def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int) -> list[tupl
                 nrm = np.linalg.norm(cand)
                 if nrm > 1e-8:
                     kept.append(_canonical_sign(cand / nrm))
+                    ordered.append((mu, kept[-1]))
         if kept:
-            copies[mu] = kept
-    ordered = [(mu, v) for mu in sorted(copies, reverse=True) for v in copies[mu]]
-    if len(ordered) != weyl_dimension(lam, d):
+            by_weight[mu] = kept
+    expected = weyl_dimension(lam, d) if last is None else last + 1
+    if len(ordered) != expected:
         raise RuntimeError(
-            f"block {lam}: built {len(ordered)} copies, expected {weyl_dimension(lam, d)}"
+            f"block {lam}: built {len(ordered)} copies, expected {expected}"
         )
     return ordered
 
 
-def _transport(lam: Partition, seeds: np.ndarray, trans_maps: dict) -> list[np.ndarray]:
-    """Companion vectors for every tableau from the first-tableau seeds.
+def _transport(lam: Partition, seeds: np.ndarray, trans_maps: dict,
+               targets) -> dict[int, np.ndarray]:
+    """Companion vectors of the tableaux in `targets` from the
+    first-tableau seeds, keyed by tableau index.
 
-    `seeds` stacks the block's weight copies for the first tableau, one
-    per row; entry i of the result stacks them for tableau i, and every
-    copy moves along an edge in one gather. Inverts the generator
-    action: with r = axial_distance(t, k) and t' the partner of t in
-    `yor.generator_tables`, P(s_k)|t> = (1/r)|t> + sqrt(1-1/r^2)|t'>.
+    `seeds` stacks weight copies for the first tableau, one per row;
+    entry i of the result stacks them for tableau i, and every copy
+    moves along an edge in one gather. The breadth-first tree over the
+    tableaux of `yor.generator_tables` is found on indices alone, and
+    vectors are built only along its paths from tableau 0 to the
+    targets, one gather per edge, so a vector comes from the same parent
+    by the same arithmetic whichever targets are asked for. Inverts the
+    generator action: with r = axial_distance(t, k) and t' the partner
+    of t, P(s_k)|t> = (1/r)|t> + sqrt(1-1/r^2)|t'>.
     """
-    ts = _tableaux(lam)
     partners = [partner for _, _, partner in generator_tables(lam)]
-    vecs: dict[int, np.ndarray] = {0: seeds}
-    queue = [0]
-    while queue:
-        ti = queue.pop(0)
+    # tableau -> (its parent, k of the edge between them); the root's is never read
+    parent: dict[int, tuple[int, int]] = {0: (0, 0)}
+    order = [0]
+    missing = set(targets) - {0}
+    for ti in order:  # grows while it is read: a first-in, first-out queue
+        if not missing:
+            break
         for k in range(1, lam.n):
             mi = int(partners[k - 1][ti])
-            if mi in vecs:  # also a row without a mate, whose partner is itself
-                continue
-            r = ts[ti].axial_distance(k)
-            swapped = vecs[ti][:, trans_maps[(k, k + 1)]]
-            vecs[mi] = (swapped - vecs[ti] / r) / np.sqrt(1.0 - 1.0 / (r * r))
-            queue.append(mi)
-    return [vecs[i] for i in range(len(ts))]
+            if mi not in parent:  # also a row without a mate, whose partner is itself
+                parent[mi] = (ti, k)
+                order.append(mi)
+                missing.discard(mi)
+    on_path = {0}
+    for ti in targets:
+        while ti not in on_path:
+            on_path.add(ti)
+            ti = parent[ti][0]
+    ts = _tableaux(lam)
+    vecs = {0: seeds}
+    for mi in order[1:]:  # parents come before their children
+        if mi not in on_path:
+            continue
+        ti, k = parent[mi]
+        r = ts[ti].axial_distance(k)
+        swapped = vecs[ti][:, trans_maps[(k, k + 1)]]
+        vecs[mi] = (swapped - vecs[ti] / r) / np.sqrt(1.0 - 1.0 / (r * r))
+    return {ti: vecs[ti] for ti in targets}
 
 
 def check_young_size(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> int:
@@ -393,14 +426,19 @@ def _transposition_maps(n: int, d: int) -> dict[tuple[int, int], np.ndarray]:
     }
 
 
-def _block(lam: Partition, d: int, n: int, trans_maps: dict,
-           copies: slice = slice(None)) -> tuple[tuple, list[np.ndarray]]:
-    """The weights of block lam's copies, and per tableau the stack of
-    its vectors for the copies that `copies` selects; a row's values do
-    not depend on which other rows are transported with it."""
+def _block(lam: Partition, d: int, n: int, trans_maps: dict, copies: list[int] | None = None,
+           targets: list[int] | None = None) -> tuple[tuple, dict[int, np.ndarray]]:
+    """The weights of block lam's copies built, and per target tableau
+    the stack of its vectors for the copy indices `copies`, in that
+    order; None asks for every copy or every tableau. Copies are built
+    only up to the highest index asked for; a row's values do not depend
+    on which other rows are transported with it."""
     v_top = _top_weight_vector(lam, _tableaux(lam)[0], d, n, trans_maps)
-    weights, seeds = zip(*_su_d_copies(lam, v_top, d, n))
-    return weights, _transport(lam, np.stack(seeds)[copies], trans_maps)
+    weights, seeds = zip(*_su_d_copies(lam, v_top, d, n, None if copies is None else max(copies)))
+    stack = np.stack(seeds if copies is None else [seeds[wi] for wi in copies])
+    if targets is None:
+        targets = range(dimension(lam))
+    return weights, _transport(lam, stack, trans_maps, targets)
 
 
 def _member(lam: Partition, ti: int, wi: int, weight: tuple, vec: np.ndarray,
@@ -428,7 +466,7 @@ def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasi
     out: list[YoungBasisVector] = []
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
         weights, stacks = _block(lam, d, n, trans_maps)
-        for ti, stack in enumerate(stacks):
+        for ti, stack in stacks.items():
             for wi, (mu, vec) in enumerate(zip(weights, stack)):
                 out.append(_member(lam, ti, wi, mu, vec, d, n))
     if len(out) != d**n:
@@ -436,16 +474,40 @@ def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasi
     return tuple(out)
 
 
+def young_vectors(n: int, d: int, labels,
+                  cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasisVector, ...]:
+    """The members of young_basis(n, d) with these (shape, tableau
+    index, weight index) labels, in their order, each equal to its
+    member bit for bit.
+
+    Every label is checked before anything is allocated. The
+    transposition maps are built once and one block per distinct shape;
+    a block's weight copies stop at the highest weight index asked of
+    it, and its tableau vectors are built only along the transport paths
+    to the tableaux asked for. Nothing is kept between calls.
+    """
+    labels = [tuple(label) for label in labels]
+    check_young_size(n, d, cap)
+    for label in labels:
+        check_young_label(n, d, *label)
+    trans_maps = _transposition_maps(n, d)
+    unique = list(dict.fromkeys(labels))
+    members: dict[tuple, YoungBasisVector] = {}
+    for lam in dict.fromkeys(shape for shape, _, _ in unique):
+        mine = [(ti, wi) for shape, ti, wi in unique if shape == lam]
+        copies = sorted({wi for _, wi in mine})
+        weights, stacks = _block(lam, d, n, trans_maps, copies, sorted({ti for ti, _ in mine}))
+        for ti, wi in mine:
+            row = stacks[ti][copies.index(wi)]
+            members[(lam, ti, wi)] = _member(lam, ti, wi, weights[wi], row, d, n)
+    return tuple(members[label] for label in labels)
+
+
 def young_vector(n: int, d: int, shape: Partition, tableau_index: int, weight_index: int,
                  cap: int = DEFAULT_DENSE_CAP) -> YoungBasisVector:
     """The member of young_basis(n, d) with this label, equal to it bit
-    for bit, built from its own block alone: only its weight copy is
-    transported. Nothing is kept between calls."""
-    check_young_size(n, d, cap)
-    check_young_label(n, d, shape, tableau_index, weight_index)
-    wi = weight_index
-    weights, stacks = _block(shape, d, n, _transposition_maps(n, d), slice(wi, wi + 1))
-    return _member(shape, tableau_index, wi, weights[wi], stacks[tableau_index][0], d, n)
+    for bit: `young_vectors` of the one label."""
+    return young_vectors(n, d, [(shape, tableau_index, weight_index)], cap)[0]
 
 
 def check_request(u, v, f: "AlgebraElement") -> tuple[Statevector, Statevector]:

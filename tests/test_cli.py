@@ -205,7 +205,8 @@ def matelem_calls(monkeypatch):
 
     calls = []
     for module, name in [(quditsim, "young_basis"), (cli, "young_basis"),
-                         (quditsim, "young_vector"), (cli, "young_vector"),
+                         (quditsim, "young_vector"), (quditsim, "young_vectors"),
+                         (cli, "young_vectors"),
                          (quditsim, "exact_matrix_element"),
                          (group_algebra, "pi_tilde_dense")]:
         counting(monkeypatch, calls, module, name)
@@ -224,13 +225,22 @@ def test_matelem_exact_builds_no_statevector(f_path, matelem_calls, capsys):
 
 
 @pytest.mark.parametrize("method", ["lcu-swap", "lcu-pauli"])
-def test_matelem_lcu_builds_only_the_labelled_vectors(method, tmp_path, f_path, matelem_calls):
+def test_matelem_lcu_builds_only_the_labelled_vectors(method, tmp_path, f_path, matelem_calls,
+                                                      monkeypatch):
+    from snsim import quditsim
+
+    built = []
+    counting(monkeypatch, built, quditsim, "_member")
     base = ["matelem", "--f", f_path, "--t", "1.0", "--eps", "1e-3", "--method", method]
     assert run_to_file(tmp_path, base + ["--u", "3+1:0:0", "--v", "3+1:1:0"])[0] == 0
-    assert matelem_calls == ["young_vector", "young_vector"]
+    # one call builds both labelled vectors, and no other member
+    assert matelem_calls == ["young_vectors"]
+    assert built == ["_member"] * 2
     matelem_calls.clear()
+    built.clear()
     assert run_to_file(tmp_path, base + ["--u", "3+1:1:0", "--v", "(3+1, 1, 0)"])[0] == 0
-    assert matelem_calls == ["young_vector"]
+    assert matelem_calls == ["young_vectors"]
+    assert built == ["_member"]
 
 
 # value_*, M, K, swap_count and closed_form_estimate of the README chain

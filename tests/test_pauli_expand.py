@@ -32,6 +32,7 @@ from snsim.quditsim import (
     permutation_matrix,
     young_basis,
     young_vector,
+    young_vectors,
 )
 from snsim.young import Partition
 
@@ -220,6 +221,20 @@ def test_both_routes_match_the_irrep_oracle_at_n12():
         for route in (matrix_element, matrix_element_pauli):
             got, _ = route(u, v, f, 1.0, eps)
             assert abs(got - expect) <= eps, (route.__name__, eps)
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_both_routes_match_the_irrep_oracle_past_n12(n):
+    # the chain sum_i (0.3 + 0.01 i)(i i+1), and the first two tableaux of
+    # (n-2, 2) at its second weight index, built in one call
+    f = algebra_element(n, {transposition(n, i, i + 1): 0.3 + 0.01 * i for i in range(1, n)})
+    labels = [(Partition((n - 2, 2)), 0, 1), (Partition((n - 2, 2)), 1, 1)]
+    expect = irrep_matrix_element(*labels, f, 1.0)
+    assert abs(expect) >= 1e-3
+    u, v = young_vectors(n, 2, labels)
+    for route in (matrix_element, matrix_element_pauli):
+        got, _ = route(u, v, f, 1.0, 1e-4)
+        assert abs(got - expect) <= 1e-4, route.__name__
 
 
 def test_pauli_route_time_zero_and_rejections():

@@ -1,5 +1,6 @@
 """Qudit register, permutation action, and the adapted basis."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -377,9 +378,9 @@ def test_young_basis_transports_once_per_shape(monkeypatch):
     calls, swaps = [], []
     transport, swap = quditsim._transport, StandardTableau.swap
 
-    def recording_transport(lam, seeds, trans_maps):
-        calls.append((lam, seeds.shape))
-        return transport(lam, seeds, trans_maps)
+    def recording_transport(lam, seeds, trans_maps, targets):
+        calls.append((lam, seeds.shape, list(targets)))
+        return transport(lam, seeds, trans_maps, targets)
 
     def recording_swap(self, k):
         swaps.append(k)
@@ -390,7 +391,9 @@ def test_young_basis_transports_once_per_shape(monkeypatch):
     young_basis.cache_clear()
     young_basis(n, d)
     assert len(calls) == len(shapes) == 7
-    assert calls == [(lam, (weyl_dimension(lam, d), d**n)) for lam in shapes]
+    # every copy of a shape moves together, to every tableau
+    assert calls == [(lam, (weyl_dimension(lam, d), d**n), list(range(len(tableaux(lam)))))
+                     for lam in shapes]
     # partners come from the cached generator tables, not from the tableaux
     assert swaps == []
 
@@ -416,21 +419,203 @@ def test_young_vector_matches_sampled_members_at_n10():
         same_member(young_vector(10, 2, want.shape, want.tableau_index, want.weight_index), want)
 
 
+def label_pairs(basis):
+    """Every label paired with itself, with the next tableau at its
+    weight index, with the next weight index at its tableau, and with a
+    label of the next shape; each partner map is onto, so every label
+    is also in the second place."""
+    by_shape: dict = {}
+    for vec in basis:
+        by_shape.setdefault(vec.shape, []).append(label(vec))
+    shapes = list(by_shape)
+    for si, lam in enumerate(shapes):
+        dim, copies = len(tableaux(lam)), len(by_shape[lam]) // len(tableaux(lam))
+        other = by_shape[shapes[(si + 1) % len(shapes)]]
+        for i, u in enumerate(by_shape[lam]):
+            _, ti, wi = u
+            yield u, u
+            yield u, (lam, (ti + 1) % dim, wi)
+            yield u, (lam, ti, (wi + 1) % copies)
+            yield u, other[i % len(other)]
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (4, 4)])
+def test_young_vectors_are_the_basis_members_bit_for_bit(n, d):
+    basis = young_basis(n, d)
+    member = {label(vec): vec for vec in basis}
+    kinds = set()
+    for u, v in label_pairs(basis):
+        got = quditsim.young_vectors(n, d, (u, v))
+        same_member(got[0], member[u])
+        same_member(got[1], member[v])
+        kinds.add((u == v, u[0] == v[0], u[1] == v[1], u[2] == v[2]))
+    # u == v; one shape with another tableau or another weight index; two shapes
+    assert {(True, True, True, True), (False, True, False, True),
+            (False, True, True, False), (False, False, False, False)} <= kinds
+
+
+@pytest.mark.parametrize("n,d", [(8, 2), (6, 3)])
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_young_vectors_match_drawn_members(n, d, data):
+    basis = young_basis(n, d)
+    indices = st.integers(0, len(basis) - 1)
+    i, j = data.draw(indices), data.draw(indices)
+    got = quditsim.young_vectors(n, d, (label(basis[i]), label(basis[j])))
+    same_member(got[0], basis[i])
+    same_member(got[1], basis[j])
+
+
 def test_young_vector_builds_one_block_and_one_copy(monkeypatch):
     n, d = 6, 3
     calls = []
     transport = quditsim._transport
 
-    def recording_transport(lam, seeds, trans_maps):
-        calls.append((lam, seeds.shape))
-        return transport(lam, seeds, trans_maps)
+    def recording_transport(lam, seeds, trans_maps, targets):
+        calls.append((lam, seeds.shape, list(targets)))
+        return transport(lam, seeds, trans_maps, targets)
 
     monkeypatch.setattr(quditsim, "_transport", recording_transport)
     lam = enumerate_partitions(n, max_rows=d)[3]
     first = young_vector(n, d, lam, 2, 1)
     second = young_vector(n, d, lam, 2, 1)
-    assert calls == [(lam, (1, d**n))] * 2  # nothing is kept between calls
+    assert calls == [(lam, (1, d**n), [2])] * 2  # nothing is kept between calls
     assert first.vector.amplitudes is not second.vector.amplitudes
+
+
+def test_young_vectors_build_one_block_per_shape(monkeypatch):
+    n, d = 6, 3
+    calls, maps = [], []
+    transport, build_maps = quditsim._transport, quditsim._transposition_maps
+
+    def recording_transport(lam, seeds, trans_maps, targets):
+        calls.append((lam, seeds.shape, list(targets)))
+        return transport(lam, seeds, trans_maps, targets)
+
+    def recording_maps(*args):
+        maps.append(args)
+        return build_maps(*args)
+
+    monkeypatch.setattr(quditsim, "_transport", recording_transport)
+    monkeypatch.setattr(quditsim, "_transposition_maps", recording_maps)
+    lam, other = enumerate_partitions(n, max_rows=d)[3:5]
+    labels = [(lam, 4, 2), (other, 0, 0), (lam, 1, 0), (lam, 4, 2)]
+    got = quditsim.young_vectors(n, d, labels)
+    assert maps == [(n, d)]
+    # one transport per distinct shape, of its distinct copies to its
+    # distinct tableaux; a repeated label is the same member
+    assert calls == [(lam, (2, d**n), [1, 4]), (other, (1, d**n), [0])]
+    assert [label(v) for v in got] == labels
+    assert got[0] is got[3]
+
+
+def transport_depths(lam):
+    """Breadth-first distance of every tableau from tableau 0 over the
+    exchange edges k <-> k+1, found with StandardTableau.swap."""
+    ts = tableaux(lam)
+    index = {t: i for i, t in enumerate(ts)}
+    depth = {0: 0}
+    queue = [0]
+    for ti in queue:
+        for k in range(1, lam.n):
+            mate = ts[ti].swap(k)
+            if mate is not None and index[mate] not in depth:
+                depth[index[mate]] = depth[ti] + 1
+                queue.append(index[mate])
+    return [depth[i] for i in range(len(ts))]
+
+
+class CountingMaps(dict):
+    """Transposition maps that count the gathers taken from them."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        self.gathers += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n,d,parts", [(8, 2, (5, 3)), (6, 3, (3, 2, 1)), (7, 2, (4, 3))])
+def test_transport_gathers_once_per_edge_on_the_requested_paths(n, d, parts):
+    lam = Partition(parts)
+    dim = len(tableaux(lam))
+    trans_maps = quditsim._transposition_maps(n, d)
+    v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n, trans_maps)
+    seeds = np.stack([vec for _, vec in quditsim._su_d_copies(lam, v_top, d, n)])
+    full = quditsim._transport(lam, seeds, trans_maps, range(dim))
+    assert list(full) == list(range(dim))
+    depth = transport_depths(lam)
+    rng = np.random.default_rng(dim)
+    requests = [[0], [dim - 1], [int(rng.integers(dim))]]
+    requests += [sorted({int(i) for i in rng.choice(dim, 2)}) for _ in range(3)]
+    for targets in requests + [list(range(dim))]:
+        counting = CountingMaps(trans_maps)
+        got = quditsim._transport(lam, seeds, counting, targets)
+        assert list(got) == targets
+        for ti in targets:
+            assert got[ti].tobytes() == full[ti].tobytes()
+        # a tree path to tableau t has depth(t) edges; paths may share edges
+        assert counting.gathers <= sum(depth[ti] for ti in targets)
+        if len(targets) == 1:
+            assert counting.gathers == depth[targets[0]]
+        if len(targets) == dim:
+            assert counting.gathers == dim - 1
+
+
+def test_transport_frees_what_it_does_not_return():
+    n, d, lam = 12, 2, Partition((6, 6))
+    dim = len(tableaux(lam))
+    trans_maps = quditsim._transposition_maps(n, d)
+    seeds = np.random.default_rng(1).standard_normal((1, d**n))
+    deepest = int(np.argmax(transport_depths(lam)))
+    quditsim._transport(lam, seeds, trans_maps, [0])  # fills the tableau caches
+    gc.disable()  # a reference cycle would keep the path's vectors alive
+    tracemalloc.start()
+    try:
+        got = quditsim._transport(lam, seeds, trans_maps, [deepest])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert dim > 100 and max(transport_depths(lam)) >= 10
+    assert held <= got[deepest].nbytes + 2**14
+
+
+def lowering_log(monkeypatch, build):
+    """The calls to `_lower` ("L") and `_canonical_sign` ("C", one per
+    copy made, the top copy's first) in order, while `build` runs."""
+    log = []
+    lower, sign = quditsim._lower, quditsim._canonical_sign
+
+    def recording_lower(*args):
+        log.append("L")
+        return lower(*args)
+
+    def recording_sign(vec):
+        log.append("C")
+        return sign(vec)
+
+    monkeypatch.setattr(quditsim, "_lower", recording_lower)
+    monkeypatch.setattr(quditsim, "_canonical_sign", recording_sign)
+    try:
+        build()
+    finally:
+        monkeypatch.undo()
+    return "".join(log)
+
+
+@pytest.mark.parametrize("n,d,parts", [(6, 3, (3, 2, 1)), (5, 3, (4, 1)), (8, 2, (6, 2)),
+                                       (4, 4, (2, 1, 1))])
+def test_lowering_stops_at_the_highest_requested_copy(n, d, parts, monkeypatch):
+    lam = Partition(parts)
+    full = lowering_log(monkeypatch, lambda: young_vector(n, d, lam, 0, weyl_dimension(lam, d) - 1))
+    assert full.count("C") == weyl_dimension(lam, d)
+    for wi in range(weyl_dimension(lam, d)):
+        # copy wi is the (wi + 1)-th made; nothing is lowered after it
+        upto = [i for i, e in enumerate(full) if e == "C"][wi]
+        for labels in ([(lam, 0, wi)], [(lam, 1, wi), (lam, 0, wi // 2)]):
+            assert lowering_log(
+                monkeypatch, lambda: quditsim.young_vectors(n, d, labels)) == full[:upto + 1]
 
 
 def site_loop_index_map(p, d):
