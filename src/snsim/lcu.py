@@ -28,11 +28,13 @@ formula directly to the statevector; `run_segment` keeps the explicit
 ancilla register and is cross-checked against the fast path in tests.
 
 Both routes plan with `_schedule`, whose `SimulationPlan` is the one
-record of a run's schedule, and run the fast path in `_fast_element`:
-one engine, `_FastSegment`, stacks one permutation row per term of
-f + shift * identity, so each application of H is one gather and one
-contraction. The Pauli route plans from its expansion's 1-norm but
-applies the same operator on these rows. Both refuse, before the
+record of a run's schedule, and run the fast path in `_fast_element`.
+It stacks one permutation row per term of f + shift * identity, so each
+application of H is one gather and one contraction, and hands that
+application to `_evolve`, the one segment-block engine, which sees the
+operator only as ham(amps, factor) and the schedule. The Pauli route
+plans from its expansion's 1-norm but applies the same operator on
+these rows. Both refuse, before the
 segment loop, a run whose select applications pass `DEFAULT_WORK_CAP`:
 M * K applications of those rows on the fast path, and on the explicit
 one 3 M, one per W, each gathering every term of the segment; an
@@ -391,40 +393,25 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     return Statevector(d, state.n, block)
 
 
-class _FastSegment:
-    """Ancilla-free segment block 3T - 4 T Tdag T over stacked permutation
-    rows, H a = sum_q coefs[q] * a[gathers[q]]; `sched`, the run's
-    SimulationPlan, gives M, dt, K, pad, shift."""
+def _evolve(ham, amps: np.ndarray, pl: SimulationPlan) -> np.ndarray:
+    """pl.M ancilla-free segment blocks 3T - 4 T Tdag T applied to amps,
+    T = (sum_{m<=K} (-i dt H)^m / m! + pad) / 2 under the schedule pl,
+    where ham(a, factor) returns factor * H a. The shift's global phase
+    exp(i t shift) is left to the caller."""
 
-    def __init__(self, gathers, coefs, sched):
-        self.gathers = np.asarray(gathers, dtype=np.intp)
-        self.coefs = np.asarray(coefs, dtype=complex)
-        self.sched = sched
-
-    def _ham(self, amps: np.ndarray, factor: complex) -> np.ndarray:
-        """factor * H amps, the factor folded into the contraction."""
-        return (factor * self.coefs) @ amps[self.gathers]
-
-    def _t_apply(self, amps: np.ndarray, dagger: bool) -> np.ndarray:
-        rot = 1j * self.sched.delta_t if dagger else -1j * self.sched.delta_t
-        acc = amps.copy()
-        term = amps
-        for m in range(1, self.sched.K + 1):
-            term = self._ham(term, rot / m)
+    def t_apply(a: np.ndarray, rot: complex) -> np.ndarray:
+        acc = a.copy()
+        term = a
+        for m in range(1, pl.K + 1):
+            term = ham(term, rot / m)
             acc += term
-        return 0.5 * (acc + self.sched.pad * amps)
+        return 0.5 * (acc + pl.pad * a)
 
-    def block_apply(self, amps: np.ndarray) -> np.ndarray:
-        t1 = self._t_apply(amps, dagger=False)
-        t3 = self._t_apply(self._t_apply(t1, dagger=True), dagger=False)
-        return 3.0 * t1 - 4.0 * t3
-
-    def element(self, u_amps: np.ndarray, v_amps: np.ndarray) -> complex:
-        """<u| exp(-it H) |v>: M blocks on v, then the shift's global phase."""
-        amps = v_amps.astype(complex)
-        for _ in range(self.sched.M):
-            amps = self.block_apply(amps)
-        return cmath.exp(1j * self.sched.t * self.sched.shift) * complex(np.vdot(u_amps, amps))
+    amps = amps.astype(complex)
+    for _ in range(pl.M):
+        t1 = t_apply(amps, -1j * pl.delta_t)
+        amps = 3.0 * t1 - 4.0 * t_apply(t_apply(t1, 1j * pl.delta_t), -1j * pl.delta_t)
+    return amps
 
 
 def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
@@ -458,13 +445,15 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
 def _fast_element(su: Statevector, sv: Statevector, f: AlgebraElement,
                   pl: SimulationPlan) -> complex:
     """<su| exp(-it pi~(f)) |sv> by the fast path under the schedule pl,
-    run on the permutation rows of f + pl.shift * identity; both routes
-    call it with their own plan."""
+    run on the permutation rows of f + pl.shift * identity, stacked so
+    that each application of H is one gather and one contraction; both
+    routes call it with their own plan."""
     shifted = add(f, scale(delta(identity(f.n)), pl.shift))
     _check_work(pl.M, pl.K, shifted.term_count, su.amplitudes.size)
-    fast = _FastSegment(permutation_index_maps(shifted.support(), su.d),
-                        [c for _, c in shifted.terms], pl)
-    return fast.element(su.amplitudes, sv.amplitudes)
+    gathers = permutation_index_maps(shifted.support(), su.d)
+    coefs = np.array([c for _, c in shifted.terms], dtype=complex)
+    amps = _evolve(lambda a, factor: (factor * coefs) @ a[gathers], sv.amplitudes, pl)
+    return cmath.exp(1j * pl.t * pl.shift) * complex(np.vdot(su.amplitudes, amps))
 
 
 def gate_count_report(pl: SimulationPlan, f: AlgebraElement) -> GateReport:

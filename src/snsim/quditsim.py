@@ -98,7 +98,8 @@ def _check_dense(d: int, n: int, cap: int) -> int:
 
 @dataclass(frozen=True)
 class Statevector:
-    """Complex amplitudes over (C^d)^(x n). Treated as immutable."""
+    """Amplitudes over (C^d)^(x n): complex, or real float64 for a Young
+    basis member. Treated as immutable."""
 
     d: int
     n: int
@@ -227,7 +228,8 @@ class YoungBasisVector:
 
     `tableau` indexes the S_n side of the block, `weight_index` the
     SU(d) side (0 = top weight, then lexicographically decreasing
-    weight strings, ties in construction order).
+    weight strings, ties in construction order). Every amplitude of the
+    basis is real, so `vector` is stored as float64, not complex.
     """
 
     shape: Partition
@@ -449,7 +451,7 @@ def _member(lam: Partition, ti: int, wi: int, weight: tuple, vec: np.ndarray,
         tableau_index=ti,
         weight_index=wi,
         weight=weight,
-        vector=Statevector(d, n, vec.astype(complex)),
+        vector=Statevector(d, n, vec),
     )
 
 
@@ -569,12 +571,17 @@ def irrep_matrix_element(u, v, f: "AlgebraElement", t: float) -> complex:
     By Schur-Weyl duality the element is delta_{ww'} [exp(-it rho)]_{t,t'}
     with rho = sum_p c_p yor(shape, p), solved by `eigh` at dim(shape),
     and 0j across shapes or weight indices. f must be Hermitian and t
-    finite, as for `exact_matrix_element`; `check_young_label` checks
-    the labels, which needs d.
+    finite, as for `exact_matrix_element`. A tableau index outside
+    [0, dim(shape)) or a negative weight index is refused with
+    ValueError; `check_young_label` also checks the weight index against
+    d, which this function is not given.
     """
     (lam, ti, wi), (lam_v, tj, wj) = u, v
     if not f.n == lam.n == lam_v.n:
         raise SizeMismatchError(f"element on S_{f.n} vs shapes {lam} and {lam_v}")
+    for shape, tab, wt in (u, v):
+        if not (0 <= tab < hook_length_dimension(shape) and wt >= 0):
+            raise ValueError(f"no Young label {(str(shape), tab, wt)} on S_{f.n}")
     if not f.is_hermitian():
         raise ValueError("element is not Hermitian")
     if not math.isfinite(t):

@@ -40,8 +40,15 @@ from snsim.pauli_expand import (
     string_index_phase,
 )
 from snsim.permutation import identity, parse_permutation, transposition
-from snsim.quditsim import Statevector, permutation_index_map, swap_network
+from snsim.quditsim import (
+    Statevector,
+    irrep_matrix_element,
+    permutation_index_map,
+    swap_network,
+)
 from snsim.verify import run_suite
+from snsim.yor import yor
+from snsim.young import Partition
 
 
 class LoopSegment:
@@ -79,23 +86,41 @@ def random_unit(rng, d, n):
     return amps / np.linalg.norm(amps)
 
 
-def swap_stack(f, d):
-    return (np.array([permutation_index_map(p, d) for p, _ in f.terms]),
-            np.array([c for _, c in f.terms]))
+def counting_evolve(monkeypatch):
+    """Wrap `lcu._evolve` so that the ham it receives records each call's
+    factor in `calls` and is kept in `hams`."""
+    calls, hams = [], []
+    original = lcu._evolve
+
+    def wrapped(ham, amps, pl):
+        def counting(a, factor):
+            calls.append(factor)
+            return ham(a, factor)
+
+        hams.append(ham)
+        return original(counting, amps, pl)
+
+    monkeypatch.setattr(lcu, "_evolve", wrapped)
+    return calls, hams
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_stacked_swap_ham_matches_term_loop(d):
-    n = 6
+def test_stacked_swap_ham_matches_term_loop(d, monkeypatch):
+    n, t, eps = 6, 1.0, 1e-6
     f = random_hermitian_k_local(n, 3, 5, seed=21 + d)
-    gathers, coefs = swap_stack(f, d)
-    engine = lcu._FastSegment(gathers, coefs, plan(f, 1.0, 1e-6))
-    a = random_unit(np.random.default_rng(d), d, n)
+    _, hams = counting_evolve(monkeypatch)
+    rng = np.random.default_rng(d)
+    u, v = Statevector(d, n, random_unit(rng, d, n)), Statevector(d, n, random_unit(rng, d, n))
+    matrix_element(u, v, f, t, eps)
+    (ham,) = hams
+    # the route applies H = f + shift * identity, stacked in `_fast_element`
+    shifted = add(f, scale(delta(identity(n)), plan(f, t, eps).shift))
+    a = random_unit(rng, d, n)
     expect = np.zeros_like(a)
-    for (_, c), g in zip(f.terms, gathers):
-        expect += c * a[g]
-    got = engine._ham(a, 1.0)
-    assert np.max(np.abs(got - expect)) <= 1e-13 * f.one_norm * np.max(np.abs(a))
+    for p, c in shifted.terms:
+        expect += c * a[permutation_index_map(p, d)]
+    got = ham(a, 1.0)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * shifted.one_norm * np.max(np.abs(a))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -165,14 +190,7 @@ def test_pauli_route_builds_no_string_gather(monkeypatch, tmp_path):
 
 
 def test_engine_applies_h_3mk_times(monkeypatch):
-    calls = []
-    original = lcu._FastSegment._ham
-
-    def counting(self, amps, factor):
-        calls.append(factor)
-        return original(self, amps, factor)
-
-    monkeypatch.setattr(lcu._FastSegment, "_ham", counting)
+    calls, _ = counting_evolve(monkeypatch)
     n = 5
     f = random_hermitian_k_local(n, 3, 4, seed=17)
     rng = np.random.default_rng(18)
@@ -185,6 +203,27 @@ def test_engine_applies_h_3mk_times(monkeypatch):
     calls.clear()
     _, report = matrix_element_pauli(u, v, f, 2.0, 1e-6)
     assert len(calls) == 3 * report.M * report.K == report.actual
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_engine_runs_the_swap_schedule_in_the_irrep_frame(n, monkeypatch):
+    # the chain sum_i (0.3 + 0.01 i)(i i+1) applied as rho_lam(f) + shift on
+    # the dim(lam) tableau vectors of lam = (n-2, 2), under the swap route's
+    # own schedule; at n = 16 (dim 104) no d^n statevector is built
+    f = algebra_element(n, {transposition(n, i, i + 1): 0.3 + 0.01 * i for i in range(1, n)})
+    lam = Partition((n - 2, 2))
+    rho = sum(c * yor(lam, p) for p, c in f.terms)
+    expect = irrep_matrix_element((lam, 0, 1), (lam, 1, 1), f, 1.0)
+    assert abs(expect) >= 1e-3
+    calls, _ = counting_evolve(monkeypatch)
+    e_1 = np.eye(len(rho))[1]
+    for eps in (1e-3, 1e-6):
+        calls.clear()
+        pl = plan(f, 1.0, eps)
+        amps = lcu._evolve(lambda a, c: c * (rho @ a + pl.shift * a), e_1, pl)
+        got = cmath.exp(1j * pl.t * pl.shift) * amps[0]
+        assert abs(got - expect) <= eps
+        assert len(calls) == 3 * pl.M * pl.K
 
 
 def reference_segment(f, delta_t, taylor_k, shift):

@@ -355,7 +355,7 @@ def reference_young_basis(n, d):
                 vec = copy_vecs[ti]
                 first = np.flatnonzero(np.abs(vec) > 1e-9)[0]
                 mu = tuple(int((digits[first] == a).sum()) for a in range(d))
-                out.append((lam, ti, wi, mu, vec.astype(complex)))
+                out.append((lam, ti, wi, mu, vec))
     return out
 
 
@@ -757,6 +757,22 @@ def test_irrep_oracle_checks_its_request():
             irrep_matrix_element((lam, 0, 0), (lam, 1, 1), f, t)
     with pytest.raises(SizeMismatchError):
         irrep_matrix_element((Partition((2, 1)), 0, 0), (Partition((2, 1)), 0, 0), f, 1.0)
+
+
+def test_irrep_oracle_refuses_labels_out_of_range():
+    # dim(3,1) = 3: a negative tableau index is not wrapped, one past the
+    # last is not an IndexError, and across shapes or weight indices, where
+    # the element would be 0j, a bad label is refused all the same
+    f = algebra_element(4, {transposition(4, 1, 2): 0.5})
+    lam = Partition((3, 1))
+    for u, v in [((lam, -1, 0), (lam, 0, 0)), ((lam, 0, 0), (lam, 3, 0)),
+                 ((lam, 5, 0), (lam, 0, 0)), ((lam, 0, -7), (lam, 0, -7)),
+                 ((lam, 0, 0), (lam, 1, -1)), ((lam, 5, 0), (Partition((4,)), 0, 0)),
+                 ((Partition((4,)), 1, 0), (lam, 0, 0))]:
+        with pytest.raises(ValueError, match="no Young label"):
+            irrep_matrix_element(u, v, f, 1.0)
+    assert irrep_matrix_element((lam, 2, 0), (lam, 2, 0), f, 0.0) == pytest.approx(1.0)
+    assert irrep_matrix_element((lam, 2, 4), (lam, 0, 3), f, 1.0) == 0j
 
 
 def test_young_basis_multiplicities_match_weyl_dimension():
