@@ -48,9 +48,9 @@ identity pair tops the 1-norm up to 2 where products merged.
 `convolve` forms each power's products as one image array, so no
 `Permutation` is composed.
 The segment keeps its terms as arrays (betas, phases, a permutation id
-per term, and the distinct permutations with their SWAP words), which is
-all `run_segment` reads; `LcuSegment.terms` builds the per-term
-`LcuTerm` view only when asked.
+per term, and the distinct permutations), which is all `run_segment`
+reads; `LcuSegment.terms` builds the per-term `LcuTerm` view, with each
+term's SWAP word, only when asked.
 
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
@@ -133,10 +133,10 @@ class LcuSegment:
     """Positive combination sum_j beta_j phase_j P(perm_j) with 1-norm 2.
 
     Held as arrays: term j has betas[j], phases[j] and the permutation
-    perms[perm_ids[j]], whose adjacent-SWAP word is words[perm_ids[j]].
-    perms lists the distinct permutations in the order of their first
-    term: lexicographic by one-line images, the identity's pad pair last
-    and on the identity's id. None of it depends on the qudit dimension d.
+    perms[perm_ids[j]]. perms lists the distinct permutations in the
+    order of their first term: lexicographic by one-line images, the
+    identity's pad pair last and on the identity's id. None of it depends
+    on the qudit dimension d.
     """
 
     n: int
@@ -148,7 +148,6 @@ class LcuSegment:
     phases: np.ndarray
     perm_ids: np.ndarray
     perms: tuple[Permutation, ...]
-    words: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
     def _gather_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -157,9 +156,11 @@ class LcuSegment:
 
     @functools.cached_property
     def terms(self) -> tuple[LcuTerm, ...]:
-        """The terms as LcuTerm values, built on first use."""
+        """The terms as LcuTerm values with their adjacent-SWAP words, built
+        on first use."""
+        words = [tuple(swap_network(p)) for p in self.perms]
         return tuple(
-            LcuTerm(beta=beta, phase=phase, perm=self.perms[k], word=self.words[k])
+            LcuTerm(beta=beta, phase=phase, perm=self.perms[k], word=words[k])
             for beta, phase, k in zip(self.betas.tolist(), self.phases.tolist(),
                                       self.perm_ids.tolist())
         )
@@ -167,6 +168,15 @@ class LcuSegment:
 
 @dataclass(frozen=True)
 class GateReport:
+    """Gate accounting of one LCU run.
+
+    actual is 3 M K w_max SWAPs (unit "swap") or 3 M K Pauli operators
+    (unit "pauli"). On the swap route bound_k2mk = k_span^2 M K bounds
+    actual only when every support permutation moves at most 3 points:
+    (1 4)(2 3) on n = 5 has k_span 4 and w_max 6, so actual = 18 M K
+    exceeds bound_k2mk = 16 M K.
+    """
+
     actual: int
     bound_k2mk: int
     closed_form: float
@@ -327,7 +337,6 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         phases=phases,
         perm_ids=perm_ids,
         perms=perms,
-        words=tuple(tuple(swap_network(p)) for p in perms),
     )
 
 

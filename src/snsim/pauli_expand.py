@@ -1,5 +1,11 @@
 """Pauli expansion of permutation operators on qubits (d = 2).
 
+A Pauli string is two bit masks (x, z) over the big-endian basis index,
+site q at bit n - q: x alone is X, z alone Z, both the Hermitian Y, so
+the string is i^|x & z| X^x Z^z (the symplectic form of Aaronson and
+Gottesman). Products are an XOR of masks and a power of i read from
+four popcounts.
+
 A transposition acts on two qubits as (I + XX + YY + ZZ)/2, so any
 permutation expands into a Pauli sum by multiplying the expansions of
 its transposition factors. A permutation moving l points needs at most
@@ -18,7 +24,9 @@ operator, so a run costs 3 M K of them. The block depends on the
 decomposition only through that schedule, so `lcu._fast_element` applies
 f + shift * identity, the same operator as g + shift * I, on the swap
 route's permutation rows. `string_index_phase` writes one string as a
-gather and a phase, a reference independent of the route.
+gather and a phase, and `string_dense` as a kron of 2 x 2 factors: two
+references independent of the route and of each other, which refuse
+sizes past `DEFAULT_DENSE_CAP` before they allocate.
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeMismatchError
+from .errors import DEFAULT_DENSE_CAP, SizeMismatchError
 from .lcu import GateReport, _fast_element, _schedule
 from .permutation import Permutation, transposition_decomposition
 from .group_algebra import AlgebraElement
-from .quditsim import check_request
+from .quditsim import _check_dense, check_request
 
 __all__ = [
     "PauliString",
@@ -53,71 +61,45 @@ __all__ = [
     "matrix_element_pauli",
 ]
 
-_LETTERS = ("X", "Y", "Z")
-
-# (a, b) -> (phase, product letter); same-letter products give the identity
-_PRODUCT = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
+# i^k for k mod 4, exact: the literal -1j would be complex(-0.0, -1.0)
+_POWERS_OF_I = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of single-qubit X/Y/Z letters on distinct sites."""
+    """Tensor product of I/X/Y/Z as two bit masks, site q at bit n - q.
+
+    A set x bit is X, a set z bit is Z, and both set is the Hermitian
+    Y = i X Z, so the string is i^|x & z| X^x Z^z.
+    """
 
     n: int
-    letters: tuple[tuple[int, str], ...]
+    x: int
+    z: int
 
     def __post_init__(self):
-        seen = set()
-        for site, letter in self.letters:
-            if not 1 <= site <= self.n:
-                raise ValueError(f"site {site} outside 1..{self.n}")
-            if letter not in _LETTERS:
-                raise ValueError(f"unknown letter {letter!r}")
-            seen.add(site)
-        if len(seen) != len(self.letters):
-            raise ValueError("repeated site in Pauli string")
-        if tuple(sorted(self.letters)) != self.letters:
-            raise ValueError("letters must be sorted by site")
+        size = 1 << self.n
+        if not (0 <= self.x < size and 0 <= self.z < size):
+            raise ValueError(f"masks x={self.x}, z={self.z} outside 0..2^{self.n} - 1")
 
     @property
     def weight(self) -> int:
-        return len(self.letters)
-
-    def label(self) -> str:
-        if not self.letters:
-            return "I"
-        return " ".join(f"{letter}{site}" for site, letter in self.letters)
+        return (self.x | self.z).bit_count()
 
 
 def pauli_identity(n: int) -> PauliString:
-    return PauliString(n, ())
+    return PauliString(n, 0, 0)
 
 
 def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """a b = i^k P(x_a ^ x_b, z_a ^ z_b): the Y phases of a, b and the
+    product, and a sign for each Z of a moved past an X of b."""
     if a.n != b.n:
         raise SizeMismatchError(f"strings on {a.n} vs {b.n} qubits")
-    left = dict(a.letters)
-    phase = 1 + 0j
-    out = {}
-    for site, letter in b.letters:
-        if site not in left:
-            out[site] = letter
-            continue
-        la = left.pop(site)
-        if la == letter:
-            continue
-        ph, prod = _PRODUCT[(la, letter)]
-        phase *= ph
-        out[site] = prod
-    out.update(left)
-    return phase, PauliString(a.n, tuple(sorted(out.items())))
+    x, z = a.x ^ b.x, a.z ^ b.z
+    k = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x & z).bit_count()
+         + 2 * (a.z & b.x).bit_count())
+    return _POWERS_OF_I[k % 4], PauliString(a.n, x, z)
 
 
 @dataclass(frozen=True)
@@ -158,7 +140,8 @@ def pauli_sum(n: int, mapping) -> PauliSum:
         combined[ps] = combined.get(ps, 0j) + complex(c)
     terms = tuple(
         (ps, c)
-        for ps, c in sorted(combined.items(), key=lambda item: (item[0].weight, item[0].letters))
+        for ps, c in sorted(combined.items(),
+                            key=lambda item: (item[0].weight, item[0].x, item[0].z))
         if c != 0
     )
     return PauliSum(n, terms)
@@ -179,11 +162,9 @@ def transposition_to_pauli(n: int, i: int, j: int) -> PauliSum:
     """(I + X_i X_j + Y_i Y_j + Z_i Z_j) / 2, the two-site exchange."""
     if i == j:
         raise ValueError("transposition needs two distinct sites")
-    lo, hi = min(i, j), max(i, j)
-    terms = {pauli_identity(n): 0.5}
-    for letter in _LETTERS:
-        terms[PauliString(n, ((lo, letter), (hi, letter)))] = 0.5
-    return pauli_sum(n, terms)
+    pair = (1 << (n - i)) | (1 << (n - j))
+    strings = ((0, 0), (pair, 0), (pair, pair), (0, pair))
+    return pauli_sum(n, {PauliString(n, x, z): 0.5 for x, z in strings})
 
 
 def permutation_to_pauli(p: Permutation) -> PauliSum:
@@ -201,23 +182,26 @@ def element_to_pauli(f: AlgebraElement) -> PauliSum:
     return pauli_sum(f.n, acc)
 
 
+# single-site factors by (x bit, z bit)
 _SINGLE = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
 
 def string_dense(ps: PauliString) -> np.ndarray:
+    """The 2^n x 2^n matrix as a kron of single-site factors."""
+    _check_dense(2, ps.n, DEFAULT_DENSE_CAP)
     out = np.eye(1, dtype=complex)
-    by_site = dict(ps.letters)
-    for site in range(1, ps.n + 1):
-        factor = _SINGLE.get(by_site.get(site), np.eye(2, dtype=complex))
-        out = np.kron(out, factor)
+    for bit in range(ps.n - 1, -1, -1):
+        out = np.kron(out, _SINGLE[(ps.x >> bit & 1, ps.z >> bit & 1)])
     return out
 
 
 def sum_dense(g: PauliSum) -> np.ndarray:
+    _check_dense(2, g.n, DEFAULT_DENSE_CAP)
     out = np.zeros((2**g.n, 2**g.n), dtype=complex)
     for ps, c in g.terms:
         out += c * string_dense(ps)
@@ -227,25 +211,17 @@ def sum_dense(g: PauliSum) -> np.ndarray:
 def string_index_phase(ps: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (gather, phase) with (P psi)[x] = phase[x] * psi[gather[x]].
 
-    Site q occupies bit n - q of the big-endian basis index. X and Y
-    flip that bit; the Y phase is read off the output bit (i on 1,
-    -i on 0), the Z phase off the unflipped bit.
+    P = i^|x & z| X^x Z^z, so gather is the index with the x bits
+    flipped and Z's sign is the parity of z & gather, folded by shifts.
     """
-    n = ps.n
-    size = 1 << n
-    x = np.arange(size)
-    mask = 0
-    phase = np.ones(size, dtype=complex)
-    for site, letter in ps.letters:
-        bit = (x >> (n - site)) & 1
-        if letter == "Z":
-            phase = phase * (1.0 - 2.0 * bit)
-        elif letter == "X":
-            mask |= 1 << (n - site)
-        else:
-            mask |= 1 << (n - site)
-            phase = phase * np.where(bit == 1, 1j, -1j)
-    return x ^ mask, phase
+    _check_dense(2, ps.n, DEFAULT_DENSE_CAP)
+    gather = np.arange(1 << ps.n) ^ ps.x
+    bits = gather & ps.z
+    shift = 1
+    while shift < ps.n:
+        bits ^= bits >> shift
+        shift <<= 1
+    return gather, _POWERS_OF_I[(ps.x & ps.z).bit_count() % 4] * (1 - 2 * (bits & 1))
 
 
 def binomial_identity_check(k: int) -> bool:

@@ -316,10 +316,12 @@ def test_build_segment_matches_product_loop_as_an_operator(case):
     images = [term.perm.images for term in seg.terms]
     ident = identity(f.n).images
     assert all(images.count(key) == 1 for key in images if key != ident)
+    # the view's SWAP words, computed on first use
+    assert [term.word for term in seg.terms] == [tuple(swap_network(term.perm))
+                                                 for term in seg.terms]
     # the arrays that run_segment reads
     distinct = list(dict.fromkeys(images))
     assert [p.images for p in seg.perms] == distinct
-    assert seg.words == tuple(tuple(swap_network(p)) for p in seg.perms)
     assert seg.perm_ids.dtype == np.intp
     assert seg.perm_ids.tolist() == [distinct.index(key) for key in images]
 

@@ -1,11 +1,13 @@
 """Qubit route: permutations as Pauli combinations."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from snsim.errors import ResourceLimitError
 from snsim.group_algebra import algebra_element, pi_tilde_dense, random_hermitian_k_local
 from snsim.lcu import matrix_element
 from snsim.pauli_expand import (
@@ -51,16 +53,32 @@ def kron_oracle(n, by_site):
     return out
 
 
+def string(n, label):
+    """The PauliString written by letters such as "X1 Y3"; "" is the identity."""
+    x = z = 0
+    for word in label.split():
+        bit = 1 << (n - int(word[1:]))
+        x |= bit if word[0] in "XY" else 0
+        z |= bit if word[0] in "YZ" else 0
+    return PauliString(n, x, z)
+
+
+def labelled_strings(n):
+    """Every string on n qubits with its site -> letter map."""
+    for letters in itertools.product("IXYZ", repeat=n):
+        by_site = dict(enumerate(letters, start=1))
+        yield by_site, string(n, " ".join(f"{a}{q}" for q, a in by_site.items() if a != "I"))
+
+
 def test_string_dense_matches_kron_oracle():
-    for letters in [(), ((1, "X"),), ((2, "Y"),), ((1, "Z"), (3, "X")), ((1, "Y"), (2, "Y"), (3, "Z"))]:
-        ps = PauliString(3, letters)
-        assert np.array_equal(string_dense(ps), kron_oracle(3, dict(letters)))
+    for by_site, ps in labelled_strings(3):
+        assert np.array_equal(string_dense(ps), kron_oracle(3, by_site))
 
 
 def test_single_site_products_close():
-    # the table behind multiply_strings, checked against 2x2 matrices
+    # the phase table behind multiply_strings, checked against 2x2 matrices
     for a, b in itertools.product("XYZ", repeat=2):
-        phase, out = multiply_strings(PauliString(1, ((1, a),)), PauliString(1, ((1, b),)))
+        phase, out = multiply_strings(string(1, f"{a}1"), string(1, f"{b}1"))
         assert np.allclose(phase * string_dense(out), SINGLE[a] @ SINGLE[b])
 
 
@@ -68,27 +86,47 @@ def test_multiply_strings_matches_dense():
     rng = np.random.default_rng(3)
     letters = ["X", "Y", "Z"]
     for _ in range(30):
-        la = tuple((int(s), letters[int(i)]) for s, i in zip(np.sort(rng.choice(4, 2, replace=False)) + 1, rng.integers(0, 3, 2)))
-        lb = tuple((int(s), letters[int(i)]) for s, i in zip(np.sort(rng.choice(4, 2, replace=False)) + 1, rng.integers(0, 3, 2)))
-        a, b = PauliString(4, la), PauliString(4, lb)
+        la, lb = (" ".join(f"{letters[int(i)]}{s}" for s, i in
+                           zip(np.sort(rng.choice(4, 2, replace=False)) + 1, rng.integers(0, 3, 2)))
+                  for _ in range(2))
+        a, b = string(4, la), string(4, lb)
         phase, out = multiply_strings(a, b)
         assert np.allclose(phase * string_dense(out), string_dense(a) @ string_dense(b))
+    # every pair at n = 2, exactly, against products of kron matrices
+    pairs = 0
+    for (sa, a), (sb, b) in itertools.product(labelled_strings(2), repeat=2):
+        phase, out = multiply_strings(a, b)
+        assert phase in (1, 1j, -1, -1j)
+        assert np.array_equal(phase * string_dense(out), kron_oracle(2, sa) @ kron_oracle(2, sb))
+        pairs += 1
+    assert pairs == 256
 
 
 def test_string_validation():
     with pytest.raises(ValueError):
-        PauliString(2, ((1, "X"), (1, "Y")))
+        PauliString(2, 4, 0)  # x past the two sites
     with pytest.raises(ValueError):
-        PauliString(2, ((3, "X"),))
+        PauliString(2, 0, 4)  # z past the two sites
     with pytest.raises(ValueError):
-        PauliString(2, ((1, "Q"),))
+        PauliString(2, -1, 0)
     with pytest.raises(ValueError):
-        PauliString(3, ((2, "X"), (1, "Y")))  # unsorted
+        PauliString(3, 0, -2)
+
+
+def test_dense_references_refuse_past_the_cap():
+    # 2^15 > DEFAULT_DENSE_CAP: refused before any array is allocated
+    n = 15
+    ps = string(n, "X1 Z15")
+    for build in (string_dense, string_index_phase):
+        with pytest.raises(ResourceLimitError):
+            build(ps)
+    with pytest.raises(ResourceLimitError):
+        sum_dense(pauli_sum(n, {ps: 1.0}))
 
 
 def test_pauli_sum_merges_and_drops():
     n = 2
-    xx = PauliString(n, ((1, "X"), (2, "X")))
+    xx = string(n, "X1 X2")
     g = pauli_sum(n, [(xx, 0.5), (xx, 0.5), (pauli_identity(n), 0.0)])
     assert g.term_count == 1
     assert g.coefficient(xx) == 1.0
@@ -164,12 +202,38 @@ def hex_terms(g):
     return [(ps, c.real.hex(), c.imag.hex()) for ps, c in g.terms]
 
 
+# recorded from the expansion with (site, letter) strings and a letter
+# product table: one_norm and the identity coefficient's parts in hex,
+# max_weight, term_count, and the sha256 of the repr of the sorted
+# (x, z, real hex, imag hex) terms, strings mapped from letters to masks
+PINNED = {
+    (4, 3, 3, 11): ("0x1.be3991e852adap+1", "-0x1.c4ef246d43498p-3", "0x0.0p+0", 3, 31,
+        "a09615d060f4b353ff55475d27bcc1a5e2af464b2c7f3f7b1d3d442cbd29a611"),
+    (5, 2, 4, 1): ("0x1.7325432950e1bp+0", "0x1.c543a41420940p-3", "0x0.0p+0", 2, 13,
+        "75005718b7dddae9df2d934b8b09e0b89bb72831c74c261ba21d6e7156485ec4"),
+    (6, 3, 5, 2): ("0x1.f6996e896996ap+0", "-0x1.255f28c72d4b0p-4", "0x0.0p+0", 3, 25,
+        "581ff0c064e095aa3820ee20b925a9c65c2182b62c6f808a346ff8081e001ebe"),
+    (8, 3, 6, 3): ("0x1.99809ab7ce79bp+1", "0x1.2b1c765f5761ep-4", "0x0.0p+0", 3, 73,
+        "4b1470242be2c3d22be9c569dcf0f6d825f76b0ac61e854409987a8859df8a9b"),
+    (10, 3, 5, 4): ("0x1.bc0b678080d97p+1", "-0x1.db8fe7a88aaafp-4", "0x0.0p+0", 3, 58,
+        "b4532be7fc18da5fb64949920e719d001d0d218d77edef40700d54aaf9e1686c"),
+    (7, 4, 4, 5): ("0x1.2c1f3a37d04b3p+3", "-0x1.ac45b33c83bc2p-4", "0x0.0p+0", 4, 223,
+        "f991fb84fb3a54f9b45c8b9f36b69fbb6146da36482ad62f009b8d455b60f07d"),
+}
+
+
 @pytest.mark.parametrize("n,k,terms,seed", [
     (4, 3, 3, 11), (5, 2, 4, 1), (6, 3, 5, 2), (8, 3, 6, 3), (10, 3, 5, 4), (7, 4, 4, 5),
 ])
 def test_element_to_pauli_matches_the_chain_of_sums_bit_for_bit(n, k, terms, seed):
     f = random_hermitian_k_local(n, k, terms, seed=seed)
-    assert hex_terms(element_to_pauli(f)) == hex_terms(reference_element_to_pauli(f))
+    g = element_to_pauli(f)
+    assert hex_terms(g) == hex_terms(reference_element_to_pauli(f))
+    ident = g.coefficient(pauli_identity(n))
+    masks = sorted((ps.x, ps.z, c.real.hex(), c.imag.hex()) for ps, c in g.terms)
+    got = (g.one_norm.hex(), ident.real.hex(), ident.imag.hex(), g.max_weight, g.term_count,
+           hashlib.sha256(repr(masks).encode()).hexdigest())
+    assert got == PINNED[(n, k, terms, seed)]
 
 
 def test_element_to_pauli_drops_a_cancelled_identity_bit_for_bit():
@@ -183,8 +247,7 @@ def test_element_to_pauli_drops_a_cancelled_identity_bit_for_bit():
 
 def test_string_index_phase_matches_dense():
     rng = np.random.default_rng(2)
-    for letters in [(), ((1, "Z"),), ((2, "Y"),), ((1, "X"), (3, "Y")), ((1, "Y"), (2, "Z"), (3, "X"))]:
-        ps = PauliString(3, letters)
+    for _, ps in labelled_strings(3):
         gather, phase = string_index_phase(ps)
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert np.allclose(phase * psi[gather], string_dense(ps) @ psi)
