@@ -341,13 +341,14 @@ def cmd_bench(args) -> int:
     check_factorial(hi, args.cap_factorial)
     rows = []
     for n in range(lo, hi + 1):
+        # --k, --t and --eps are checked here, before the n!-sized work
+        element = _bench_element(n, args.k)
+        report = lcu.gate_count_report(lcu.plan(element, args.t, args.eps), element)
         rng = np.random.default_rng(1000 * args.seed + n)
         values = rng.standard_normal(math.factorial(n))
         start = time.perf_counter()
         coeffs = fourier_fft(values, n, cap=args.cap_factorial)
         wall = time.perf_counter() - start
-        element = _bench_element(n, args.k)
-        report = lcu.gate_count_report(lcu.plan(element, args.t, args.eps), element)
         rows.append({
             "n": n,
             "classical_fft_ops": coeffs.ops,

@@ -39,7 +39,7 @@ from .permutation import (
 )
 from .young import Partition, enumerate_partitions, branching_down
 from .yor import _word_matrix, apply_generator as _apply_generator, dimension as _yor_dimension
-from .quditsim import permutation_index_maps
+from .quditsim import _check_dense, permutation_index_maps
 
 __all__ = [
     "AlgebraElement",
@@ -108,10 +108,11 @@ class AlgebraElement:
     def span(self) -> int:
         return max((span(p) for p, _ in self.terms), default=0)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
+        """f(p^-1) = conj f(p) for every p, to 1e-12."""
         table = {p: c for p, c in self.terms}
         for p, c in self.terms:
-            if abs(table.get(p.inverse(), 0j) - c.conjugate()) > tol:
+            if abs(table.get(p.inverse(), 0j) - c.conjugate()) > 1e-12:
                 return False
         return True
 
@@ -316,11 +317,11 @@ def fourier_fft(values: np.ndarray, n: int, cap: int = DEFAULT_FACTORIAL_CAP) ->
     return FourierCoefficients(n, blocks, counter[0])
 
 
-def fourier_inverse(coeffs: FourierCoefficients, cap: int = DEFAULT_FACTORIAL_CAP) -> np.ndarray:
+def fourier_inverse(coeffs: FourierCoefficients) -> np.ndarray:
     """f(p) = (1/n!) sum_shape dim * tr(fhat(shape) rho(p^-1)), as a dense
     lex-ordered table."""
     n = coeffs.n
-    check_factorial(n, cap)
+    check_factorial(n, DEFAULT_FACTORIAL_CAP)
     shapes = enumerate_partitions(n)
     for s in shapes:
         d = _yor_dimension(s)
@@ -339,12 +340,11 @@ def fourier_inverse(coeffs: FourierCoefficients, cap: int = DEFAULT_FACTORIAL_CA
     return out / len(perms)
 
 
-def convolution_theorem_check(f: AlgebraElement, g: AlgebraElement,
-                              cap: int = DEFAULT_FACTORIAL_CAP) -> float:
+def convolution_theorem_check(f: AlgebraElement, g: AlgebraElement) -> float:
     """max over shapes of |fourier(f*g) - fourier(f) fourier(g)|_max."""
-    fh = fourier_naive(f, cap)
-    gh = fourier_naive(g, cap)
-    both = fourier_naive(convolve(f, g), cap)
+    fh = fourier_naive(f, DEFAULT_FACTORIAL_CAP)
+    gh = fourier_naive(g, DEFAULT_FACTORIAL_CAP)
+    both = fourier_naive(convolve(f, g), DEFAULT_FACTORIAL_CAP)
     worst = 0.0
     for s, mat in both.blocks.items():
         worst = max(worst, float(np.abs(mat - fh.blocks[s] @ gh.blocks[s]).max()))
@@ -366,11 +366,9 @@ def dense_table(f: AlgebraElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pi_tilde_dense(f: AlgebraElement, d: int, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def pi_tilde_dense(f: AlgebraElement, d: int) -> np.ndarray:
     """sum_i c_i P(p_i) as a dense d^n x d^n operator."""
-    dim = d**f.n
-    if dim > cap:
-        raise ResourceLimitError(f"dense operator of dimension {d}^{f.n} = {dim} exceeds cap {cap}")
+    dim = _check_dense(d, f.n, DEFAULT_DENSE_CAP)
     out = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
     for g, (_, c) in zip(permutation_index_maps(f.support(), d), f.terms):

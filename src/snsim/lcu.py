@@ -47,10 +47,9 @@ element per order, so each permutation takes one term; a cancelling
 identity pair tops the 1-norm up to 2 where products merged.
 `convolve` forms each power's products as one image array, so no
 `Permutation` is composed.
-The segment keeps its terms as arrays (betas, phases, a permutation id
-per term, and the distinct permutations), which is all `run_segment`
-reads; `LcuSegment.terms` builds the per-term `LcuTerm` view, with each
-term's SWAP word, only when asked.
+The segment keeps its terms as arrays (betas, phases and one permutation
+per term), which is all `run_segment` reads; `LcuSegment.terms` builds
+the per-term `LcuTerm` view, with each term's SWAP word, only when asked.
 
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
@@ -133,10 +132,9 @@ class LcuSegment:
     """Positive combination sum_j beta_j phase_j P(perm_j) with 1-norm 2.
 
     Held as arrays: term j has betas[j], phases[j] and the permutation
-    perms[perm_ids[j]]. perms lists the distinct permutations in the
-    order of their first term: lexicographic by one-line images, the
-    identity's pad pair last and on the identity's id. None of it depends
-    on the qudit dimension d.
+    perms[j]. The terms are lexicographic by one-line images, each
+    permutation once, but for the identity's cancelling pad pair, which
+    comes last. None of it depends on the qudit dimension d.
     """
 
     n: int
@@ -146,7 +144,6 @@ class LcuSegment:
     phase_correction: complex
     betas: np.ndarray
     phases: np.ndarray
-    perm_ids: np.ndarray
     perms: tuple[Permutation, ...]
 
     @functools.cached_property
@@ -158,11 +155,9 @@ class LcuSegment:
     def terms(self) -> tuple[LcuTerm, ...]:
         """The terms as LcuTerm values with their adjacent-SWAP words, built
         on first use."""
-        words = [tuple(swap_network(p)) for p in self.perms]
         return tuple(
-            LcuTerm(beta=beta, phase=phase, perm=self.perms[k], word=words[k])
-            for beta, phase, k in zip(self.betas.tolist(), self.phases.tolist(),
-                                      self.perm_ids.tolist())
+            LcuTerm(beta=beta, phase=phase, perm=p, word=tuple(swap_network(p)))
+            for beta, phase, p in zip(self.betas.tolist(), self.phases.tolist(), self.perms)
         )
 
 
@@ -274,8 +269,8 @@ def plan(f: AlgebraElement, t: float, epsilon: float) -> SimulationPlan:
     return pl
 
 
-def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float = 0.0,
-                  term_cap: int = DEFAULT_TERM_CAP) -> LcuSegment:
+def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int,
+                  shift: float = 0.0) -> LcuSegment:
     """The truncated Taylor series of f + shift*identity as an explicit
     unitary combination, identity-padded to 1-norm exactly 2.
 
@@ -289,18 +284,18 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     -1 and beta half that slack each, makes it up, so the betas sum to 2
     and <0|W|0> is still (Taylor sum + pad)/2.
 
-    `term_cap` bounds the Taylor products sum_m |supp g|^m, which bound
-    the (p, q) pairs each convolution forms. A NaN or negative delta_t
-    is refused with ValueError.
+    DEFAULT_TERM_CAP bounds the Taylor products sum_m |supp g|^m, which
+    bound the (p, q) pairs each convolution forms. A NaN or negative
+    delta_t is refused with ValueError.
     """
     if not delta_t >= 0.0:
         raise ValueError(f"need delta_t >= 0, got {delta_t}")
     ident = identity(f.n)
     shifted = add(f, scale(delta(ident), shift))
     term_count = sum(shifted.term_count**m for m in range(taylor_k + 1))
-    if term_count > term_cap:
+    if term_count > DEFAULT_TERM_CAP:
         raise ResourceLimitError(
-            f"flattened segment has {term_count} terms (cap {term_cap}); "
+            f"flattened segment has {term_count} terms (cap {DEFAULT_TERM_CAP}); "
             "lower K or use a sparser element"
         )
     x = delta_t * shifted.one_norm
@@ -318,15 +313,12 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
     coefs = np.array([c for _, c in total.terms], dtype=complex)
     betas = np.abs(coefs)
     phases = coefs / betas
-    term_perms = list(total.support())
+    perms = total.support()
     slack = 2.0 - math.fsum(betas.tolist())
     if slack > 0.0:
         betas = np.append(betas, [slack / 2.0, slack / 2.0])
         phases = np.append(phases, [1.0, -1.0])
-        term_perms += [ident, ident]
-    first = {}
-    perm_ids = np.array([first.setdefault(p, len(first)) for p in term_perms], dtype=np.intp)
-    perms = tuple(first)
+        perms += (ident, ident)
     return LcuSegment(
         n=f.n,
         delta_t=delta_t,
@@ -335,7 +327,6 @@ def build_segment(f: AlgebraElement, delta_t: float, taylor_k: int, shift: float
         phase_correction=cmath.exp(1j * delta_t * shift),
         betas=betas,
         phases=phases,
-        perm_ids=perm_ids,
         perms=perms,
     )
 
@@ -379,7 +370,7 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     rows = np.arange(live)[:, None]
     tables = seg._gather_tables
     if d not in tables:
-        fwd = permutation_index_maps(seg.perms, d)[seg.perm_ids]
+        fwd = permutation_index_maps(seg.perms, d)
         inv = np.empty_like(fwd)
         inv[rows, fwd] = np.arange(d**state.n)
         tables[d] = fwd, inv
@@ -424,8 +415,7 @@ def _evolve(ham, amps: np.ndarray, pl: SimulationPlan) -> np.ndarray:
 
 
 def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
-                   explicit: bool = False,
-                   term_cap: int = DEFAULT_TERM_CAP) -> tuple[complex, GateReport]:
+                   explicit: bool = False) -> tuple[complex, GateReport]:
     """<u| exp(-it pi~(f)) |v> to accuracy epsilon, with the gate report.
 
     u and v may be YoungBasisVector or Statevector values. The default
@@ -440,7 +430,7 @@ def matrix_element(u, v, f: AlgebraElement, t: float, epsilon: float,
 
     pl = plan(f, t, epsilon)
     if explicit:
-        seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift, term_cap=term_cap)
+        seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift)
         # run_segment applies W three times, each one gather of every term
         _check_work(pl.M, 3, len(seg.betas), su.amplitudes.size)
         state = sv

@@ -89,10 +89,7 @@ def _check_register(d: int, n: int) -> None:
 def _check_dense(d: int, n: int, cap: int) -> int:
     dim = d**n
     if dim > cap:
-        raise ResourceLimitError(
-            f"dense statevector of dimension {d}^{n} = {dim} exceeds cap {cap}; "
-            "raise the cap explicitly if this size is intended"
-        )
+        raise ResourceLimitError(f"dense array of dimension d^n = {d}^{n} = {dim} exceeds cap {cap}")
     return dim
 
 
@@ -145,14 +142,6 @@ def _digit_table_cached(d: int, n: int) -> np.ndarray:
     return np.stack([(idx // d ** (n - q)) % d for q in range(1, n + 1)], axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_counts(d: int, n: int) -> np.ndarray:
-    """counts[i, a] = how many qudits of basis index i hold digit a: the
-    weight of i, which every P(p) keeps."""
-    digits = _digit_table_cached(d, n)
-    return np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
-
-
 def permutation_index_maps(perms, d: int) -> np.ndarray:
     """The (len(perms), d^n) stack of `permutation_index_map`s of
     permutations of one n, as one product with the digit table: row k
@@ -179,9 +168,9 @@ def apply_permutation(s: Statevector, p: Permutation) -> Statevector:
     return Statevector(s.d, s.n, s.amplitudes[permutation_index_map(p, s.d)])
 
 
-def permutation_matrix(p: Permutation, d: int, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def permutation_matrix(p: Permutation, d: int) -> np.ndarray:
     """Dense d^n x d^n matrix of P(p)."""
-    dim = _check_dense(d, p.n, cap)
+    dim = _check_dense(d, p.n, DEFAULT_DENSE_CAP)
     g = permutation_index_map(p, d)
     mat = np.zeros((dim, dim))
     mat[np.arange(dim), g] = 1.0
@@ -505,11 +494,11 @@ def young_vectors(n: int, d: int, labels,
     return tuple(members[label] for label in labels)
 
 
-def young_vector(n: int, d: int, shape: Partition, tableau_index: int, weight_index: int,
-                 cap: int = DEFAULT_DENSE_CAP) -> YoungBasisVector:
+def young_vector(n: int, d: int, shape: Partition, tableau_index: int,
+                 weight_index: int) -> YoungBasisVector:
     """The member of young_basis(n, d) with this label, equal to it bit
     for bit: `young_vectors` of the one label."""
-    return young_vectors(n, d, [(shape, tableau_index, weight_index)], cap)[0]
+    return young_vectors(n, d, [(shape, tableau_index, weight_index)])[0]
 
 
 def check_request(u, v, f: "AlgebraElement") -> tuple[Statevector, Statevector]:
@@ -527,8 +516,7 @@ def check_request(u, v, f: "AlgebraElement") -> tuple[Statevector, Statevector]:
     return su, sv
 
 
-def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
-                         cap: int = DEFAULT_DENSE_CAP) -> complex:
+def exact_matrix_element(u, v, f: "AlgebraElement", t: float) -> complex:
     """<u| exp(-it pi~(f)) |v> by Hermitian eigendecomposition, one
     weight sector at a time.
 
@@ -537,16 +525,18 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float,
     Only a sector where both u and v have support adds to the element;
     its block is built from the support's index maps restricted to the
     sector's rows and solved by `eigh`, and u and v sharing none gives
-    0j. No d^n x d^n operator is built; d^n above `cap` is refused. u and
-    v may be YoungBasisVector or raw Statevector values; t must be finite.
+    0j. No d^n x d^n operator is built; d^n above DEFAULT_DENSE_CAP is
+    refused. u and v may be YoungBasisVector or raw Statevector values;
+    t must be finite.
     """
     su, sv = check_request(u, v, f)
     if not math.isfinite(t):
         raise ValueError(f"need finite t, got {t}")
-    _check_dense(su.d, su.n, cap)
+    _check_dense(su.d, su.n, DEFAULT_DENSE_CAP)
     maps = permutation_index_maps(f.support(), su.d)
-    # one integer per weight: the digit counts read in base n + 1
-    code = _digit_counts(su.d, su.n) @ (su.n + 1) ** np.arange(su.d)
+    # one integer per weight, the digit counts read in base n + 1: the
+    # sum over qudits of (n + 1)^digit, with no (d^n x d) count table
+    code = ((su.n + 1) ** _digit_table_cached(su.d, su.n)).sum(axis=1)
     value = 0j
     # sectors are taken per vector, not per index: two basis states of
     # one sector with disjoint supports still couple through it

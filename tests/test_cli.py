@@ -507,6 +507,18 @@ def test_bench_checks_the_cap_before_any_draw(capsys, no_factorial_builds):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("bad", [["--k", "9"], ["--t", "0"], ["--t", "nan"], ["--eps", "1.5"]])
+def test_bench_checks_k_t_and_eps_before_any_transform(bad, monkeypatch, capsys,
+                                                       no_factorial_builds):
+    # the n = 8 transform takes seconds; a bad instance is refused first
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform run before the instance was checked")
+
+    monkeypatch.setattr(cli, "fourier_fft", refuse)
+    assert main(["bench", "--n-range", "8:8", *bad]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("shape", ["15+15", "10+10"])
 def test_irrep_checks_the_dense_cap_before_any_tableau(shape, monkeypatch, capsys):
     # 15+15 has 9,694,845 standard tableaux; 10+10 has 16,796, one past

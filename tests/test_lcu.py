@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from snsim import lcu
 from snsim.errors import ResourceLimitError, SizeMismatchError
 from snsim.group_algebra import (
     AlgebraElement,
@@ -269,11 +270,12 @@ def test_segment_doubling_ratio():
     assert 1.8 <= ratio <= 2.2
 
 
-def test_flattening_cap_raises():
+def test_flattening_cap_raises(monkeypatch):
     f = random_hermitian_k_local(5, 3, 6, seed=9)
     basis_u = basis_state(2, 5, 0)
+    monkeypatch.setattr(lcu, "DEFAULT_TERM_CAP", 50)
     with pytest.raises(ResourceLimitError):
-        matrix_element(basis_u, basis_u, f, 1.0, 1e-6, explicit=True, term_cap=50)
+        matrix_element(basis_u, basis_u, f, 1.0, 1e-6, explicit=True)
 
 
 def test_matrix_element_rejections():

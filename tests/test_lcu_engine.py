@@ -319,11 +319,11 @@ def test_build_segment_matches_product_loop_as_an_operator(case):
     # the view's SWAP words, computed on first use
     assert [term.word for term in seg.terms] == [tuple(swap_network(term.perm))
                                                  for term in seg.terms]
-    # the arrays that run_segment reads
-    distinct = list(dict.fromkeys(images))
-    assert [p.images for p in seg.perms] == distinct
-    assert seg.perm_ids.dtype == np.intp
-    assert seg.perm_ids.tolist() == [distinct.index(key) for key in images]
+    # the arrays that run_segment reads: one permutation per term, in
+    # lexicographic order, and the identity's pad pair last
+    assert len(seg.perms) == len(seg.betas) == len(seg.phases)
+    padding = [ident] * (len(images) - len(set(images)))
+    assert [p.images for p in seg.perms] == sorted(set(images)) + padding
 
 
 def refuse(*args, **kwargs):
@@ -373,12 +373,14 @@ def test_segment_path_composes_no_permutation(monkeypatch):
     assert [run() for run in runs] == expect
 
 
-def test_term_cap_refuses_with_the_same_message():
+def test_term_cap_refuses_with_the_same_message(monkeypatch):
     f = heisenberg_like(4)  # five terms: 1 + 5 + ... + 5^5 = 3906 products at K = 5
     message = "flattened segment has 3906 terms (cap 3905); lower K or use a sparser element"
+    monkeypatch.setattr(lcu, "DEFAULT_TERM_CAP", 3905)
     with pytest.raises(ResourceLimitError, match=re.escape(message)):
-        build_segment(f, 0.1, 5, term_cap=3905)
-    assert build_segment(f, 0.1, 5, term_cap=3906).terms
+        build_segment(f, 0.1, 5)
+    monkeypatch.setattr(lcu, "DEFAULT_TERM_CAP", 3906)
+    assert build_segment(f, 0.1, 5).terms
 
 
 def reference_run_segment(state, seg):

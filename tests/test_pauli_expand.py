@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from snsim.pauli_expand import (
 from snsim.permutation import enumerate_sn, locality, parse_permutation, transposition
 from snsim.quditsim import (
     basis_state,
+    check_young_size,
     exact_matrix_element,
     irrep_matrix_element,
     permutation_matrix,
@@ -114,14 +116,21 @@ def test_string_validation():
 
 
 def test_dense_references_refuse_past_the_cap():
-    # 2^15 > DEFAULT_DENSE_CAP: refused before any array is allocated
+    # 2^15 > DEFAULT_DENSE_CAP: refused before any array is allocated,
+    # with one message for statevectors and operators alike
     n = 15
     ps = string(n, "X1 Z15")
-    for build in (string_dense, string_index_phase):
-        with pytest.raises(ResourceLimitError):
-            build(ps)
-    with pytest.raises(ResourceLimitError):
-        sum_dense(pauli_sum(n, {ps: 1.0}))
+    f = algebra_element(n, {transposition(n, 1, 2): 0.5})
+    a = basis_state(2, n, 0)
+    builds = (lambda: string_dense(ps), lambda: string_index_phase(ps),
+              lambda: sum_dense(pauli_sum(n, {ps: 1.0})),
+              lambda: permutation_matrix(transposition(n, 1, 2), 2),
+              lambda: pi_tilde_dense(f, 2), lambda: exact_matrix_element(a, a, f, 1.0),
+              lambda: check_young_size(n, 2))
+    message = "dense array of dimension d^n = 2^15 = 32768 exceeds cap 16384"
+    for build in builds:
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_pauli_sum_merges_and_drops():

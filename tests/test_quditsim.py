@@ -228,6 +228,13 @@ def test_young_basis_weights_count_digits():
             assert digit_counts == v.weight
 
 
+def digit_counts(d, n):
+    """counts[i, a] = how many qudits of basis index i hold digit a: the
+    weight of i, which every P(p) keeps."""
+    digits = quditsim._digit_table_cached(d, n)
+    return np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
+
+
 def transposition_maps(n, d):
     return {(i, k): permutation_index_map(transposition(n, i, k), d)
             for k in range(2, n + 1) for i in range(1, k)}
@@ -237,7 +244,7 @@ def reference_top_weight_vector(lam, t0, d, n, trans_maps):
     """The top-weight vector as found before the Young symmetrizer: the
     weight-lam sector refined into joint eigenspaces of the star sums
     X_k = sum_{i<k} (i k), keeping eigenvalue content_t0(k) for each k."""
-    sel = np.flatnonzero((quditsim._digit_counts(d, n) == np.array(lam.padded(d))).all(axis=1))
+    sel = np.flatnonzero((digit_counts(d, n) == np.array(lam.padded(d))).all(axis=1))
     basis = np.zeros((d**n, len(sel)))
     basis[sel, np.arange(len(sel))] = 1.0
     for k in range(2, n + 1):
@@ -300,7 +307,7 @@ def test_young_basis_caches_one_basis():
 def test_young_basis_is_orthonormal_per_weight(n, d):
     # vectors of different weights have disjoint supports, so one Gram
     # matrix per weight sector checks what the full d^n x d^n one would
-    counts = quditsim._digit_counts(d, n)
+    counts = digit_counts(d, n)
     by_weight: dict = {}
     for v in young_basis(n, d):
         by_weight.setdefault(v.weight, []).append(v.vector.amplitudes)
@@ -986,12 +993,30 @@ def test_sector_oracle_builds_no_dense_operator(monkeypatch):
     assert exact_matrix_element(basis[1], basis[2], f, 0.6) == expect
 
 
-def test_sector_oracle_refuses_past_the_cap():
+def test_sector_oracle_refuses_past_the_cap(monkeypatch):
     f = random_hermitian_k_local(4, 3, 3, seed=1)
     a = basis_state(2, 4, [0, 1, 1, 0])
+    monkeypatch.setattr(quditsim, "DEFAULT_DENSE_CAP", 15)
     with pytest.raises(ResourceLimitError):
-        exact_matrix_element(a, a, f, 1.0, cap=15)
-    assert exact_matrix_element(a, a, f, 1.0, cap=16) == sliced_dense_oracle(a, a, f, 1.0)
+        exact_matrix_element(a, a, f, 1.0)
+    monkeypatch.setattr(quditsim, "DEFAULT_DENSE_CAP", 16)
+    assert exact_matrix_element(a, a, f, 1.0) == sliced_dense_oracle(a, a, f, 1.0)
+
+
+def test_sector_oracle_keys_sectors_without_a_count_table():
+    # the sector codes come from the (d^n x n) digit table: a (d^n x d)
+    # table of digit counts would be 134 MB at d = 4096, n = 1
+    d = 4096
+    u, v = basis_state(d, 1, 3), basis_state(d, 1, 5)
+    f = delta(identity(1))
+    tracemalloc.start()
+    try:
+        values = exact_matrix_element(u, u, f, 0.5), exact_matrix_element(u, v, f, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(values[0] - np.exp(-0.5j)) <= 1e-15 and values[1] == 0j
+    assert peak <= 8 * 2**20
 
 
 @st.composite
