@@ -2,8 +2,9 @@
 
 Index convention: amplitudes[i] is the coefficient of the computational
 basis state whose base-d digits are read off i with qudit 1 as the most
-significant digit. A permutation acts by moving the content of site q
-to site p(q):
+significant digit, so qudit q is axis q - 1 of the amplitudes reshaped
+to the tensor of shape (d,)*n, and every digit is read off its axes. A
+permutation acts by moving the content of site q to site p(q):
 
     (P(p) psi)[j_1 .. j_n] = psi[j_{p(1)} .. j_{p(n)}]
 
@@ -16,9 +17,9 @@ the remaining SU(d) copies are generated by lowering operators, and the
 companion tableau vectors are produced by the orthogonal-representation
 recurrence, so the S_n action on the result has exactly the matrix
 elements of `yor`. It runs once per block on the stacked weight copies,
-one gather per edge of a breadth-first tree over the tableau exchange
-edges of `yor.generator_tables`, and every vector keeps the weight its
-copy was built at. `young_basis` builds every block in full.
+one exchange of two tensor axes per edge of a breadth-first tree over
+the tableau exchange edges of `yor.generator_tables`, and every vector
+keeps the weight its copy was built at. `young_basis` builds every block in full.
 `young_vectors` builds a few labelled members by the same steps: one
 block per distinct shape, its copies only up to the highest weight index
 asked for, and its tableau vectors only along the tree paths to the
@@ -71,7 +72,6 @@ __all__ = [
     "replay_swap_network",
     "apply_local_unitary_everywhere",
     "young_basis",
-    "young_vector",
     "young_vectors",
     "check_young_size",
     "check_young_label",
@@ -135,26 +135,20 @@ def basis_state(d: int, n: int, digits) -> Statevector:
     return Statevector(d, n, amps)
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_table_cached(d: int, n: int) -> np.ndarray:
-    """digits[i, q-1] = q-th digit (qudit q) of basis index i."""
-    idx = np.arange(d**n)
-    return np.stack([(idx // d ** (n - q)) % d for q in range(1, n + 1)], axis=1)
-
-
 def permutation_index_maps(perms, d: int) -> np.ndarray:
     """The (len(perms), d^n) stack of `permutation_index_map`s of
-    permutations of one n, as one product with the digit table: row k
-    weighs digit s of index i by the place value d^(n-q) of the slot q
-    that reads it, p_k(q) = s. Nothing larger than the result is
+    permutations of one n. Row k is the index tensor of shape (d,)*n with
+    its axes permuted by p_k^-1: output axis q - 1 reads input axis
+    p_k^-1(q) - 1. Nothing but the stack and one index tensor is
     allocated; no permutations give a (0, 0) stack."""
     if not len(perms):
         return np.zeros((0, 0), dtype=np.intp)
-    images = np.array([p.images for p in perms], dtype=np.intp)
-    n = images.shape[1]
-    place = np.zeros(images.shape, dtype=np.intp)
-    np.put_along_axis(place, images - 1, d ** np.arange(n - 1, -1, -1), axis=1)
-    return place @ _digit_table_cached(d, n).T
+    n = perms[0].n
+    index = np.arange(d**n, dtype=np.intp).reshape((d,) * n)
+    stack = np.empty((len(perms),) + (d,) * n, dtype=np.intp)
+    for row, p in zip(stack, perms):
+        row[...] = index.transpose(sorted(range(n), key=p.images.__getitem__))
+    return stack.reshape(len(perms), -1)
 
 
 def permutation_index_map(p: Permutation, d: int) -> np.ndarray:
@@ -264,8 +258,15 @@ def _compositions(n: int, d: int):
             yield (first,) + rest
 
 
-def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int,
-                       trans_maps: dict) -> np.ndarray:
+def _exchange(stack: np.ndarray, d: int, n: int, i: int, k: int) -> np.ndarray:
+    """P((i k)) on every row of a 1-D or 2-D stack of d^n amplitudes: a
+    copy with the tensor axes of qudits i and k swapped."""
+    lead = stack.shape[:-1]
+    tensor = stack.reshape(lead + (d,) * n)
+    return tensor.swapaxes(len(lead) + i - 1, len(lead) + k - 1).reshape(stack.shape)
+
+
+def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int) -> np.ndarray:
     """The top-weight vector of the row-superstandard tableau t0: its Young
     symmetrizer a b applied to the state whose qudit k holds k's row.
 
@@ -273,7 +274,7 @@ def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int,
     and the row sums a keep it in the lam block, on the one line of
     row-invariant vectors there (Kostka number 1), where t0's vector of
     `yor` lies. A sum over the permutations of entries c_1 < .. < c_m is
-    the product over k of (1 +- sum_{i<k} (c_i c_k)), one gather a term.
+    the product over k of (1 +- sum_{i<k} (c_i c_k)), one exchange a term.
     """
     v = np.zeros(d**n)
     v[sum((t0.position(k)[0] - 1) * d ** (n - k) for k in range(1, n + 1))] = 1.0
@@ -281,7 +282,7 @@ def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int,
     for sign, groups in ((-1.0, cols), (1.0, t0.rows)):
         for group in groups:
             for m in range(1, len(group)):
-                v = v + sign * sum(v[trans_maps[(i, group[m])]] for i in group[:m])
+                v = v + sign * sum(_exchange(v, d, n, i, group[m]) for i in group[:m])
     return _canonical_sign(v / np.linalg.norm(v))
 
 
@@ -333,20 +334,21 @@ def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int,
     return ordered
 
 
-def _transport(lam: Partition, seeds: np.ndarray, trans_maps: dict,
+def _transport(lam: Partition, seeds: np.ndarray, d: int,
                targets) -> dict[int, np.ndarray]:
     """Companion vectors of the tableaux in `targets` from the
     first-tableau seeds, keyed by tableau index.
 
     `seeds` stacks weight copies for the first tableau, one per row;
     entry i of the result stacks them for tableau i, and every copy
-    moves along an edge in one gather. The breadth-first tree over the
-    tableaux of `yor.generator_tables` is found on indices alone, and
-    vectors are built only along its paths from tableau 0 to the
-    targets, one gather per edge, so a vector comes from the same parent
-    by the same arithmetic whichever targets are asked for. Inverts the
-    generator action: with r = axial_distance(t, k) and t' the partner
-    of t, P(s_k)|t> = (1/r)|t> + sqrt(1-1/r^2)|t'>.
+    moves along an edge in one `_exchange` of the qudits k and k+1. The
+    breadth-first tree over the tableaux of `yor.generator_tables` is
+    found on indices alone, and vectors are built only along its paths
+    from tableau 0 to the targets, one exchange per edge, so a vector
+    comes from the same parent by the same arithmetic whichever targets
+    are asked for. Inverts the generator action: with r =
+    axial_distance(t, k) and t' the partner of t,
+    P(s_k)|t> = (1/r)|t> + sqrt(1-1/r^2)|t'>.
     """
     partners = [partner for _, _, partner in generator_tables(lam)]
     # tableau -> (its parent, k of the edge between them); the root's is never read
@@ -374,7 +376,7 @@ def _transport(lam: Partition, seeds: np.ndarray, trans_maps: dict,
             continue
         ti, k = parent[mi]
         r = ts[ti].axial_distance(k)
-        swapped = vecs[ti][:, trans_maps[(k, k + 1)]]
+        swapped = _exchange(vecs[ti], d, lam.n, k, k + 1)
         vecs[mi] = (swapped - vecs[ti] / r) / np.sqrt(1.0 - 1.0 / (r * r))
     return {ti: vecs[ti] for ti in targets}
 
@@ -404,32 +406,19 @@ def check_young_label(n: int, d: int, shape: Partition, tableau_index: int,
         )
 
 
-def _transposition_maps(n: int, d: int) -> dict[tuple[int, int], np.ndarray]:
-    """`permutation_index_map` of every transposition (i k), i < k, keyed
-    (i, k), each in one pass: exchanging digits i and k moves index j
-    by (j_k - j_i)(d^(n-i) - d^(n-k))."""
-    digits = _digit_table_cached(d, n)
-    index = np.arange(d**n)
-    return {
-        (i, k): index + (digits[:, k - 1] - digits[:, i - 1]) * (d ** (n - i) - d ** (n - k))
-        for k in range(2, n + 1)
-        for i in range(1, k)
-    }
-
-
-def _block(lam: Partition, d: int, n: int, trans_maps: dict, copies: list[int] | None = None,
+def _block(lam: Partition, d: int, n: int, copies: list[int] | None = None,
            targets: list[int] | None = None) -> tuple[tuple, dict[int, np.ndarray]]:
     """The weights of block lam's copies built, and per target tableau
     the stack of its vectors for the copy indices `copies`, in that
     order; None asks for every copy or every tableau. Copies are built
     only up to the highest index asked for; a row's values do not depend
     on which other rows are transported with it."""
-    v_top = _top_weight_vector(lam, _tableaux(lam)[0], d, n, trans_maps)
+    v_top = _top_weight_vector(lam, _tableaux(lam)[0], d, n)
     weights, seeds = zip(*_su_d_copies(lam, v_top, d, n, None if copies is None else max(copies)))
     stack = np.stack(seeds if copies is None else [seeds[wi] for wi in copies])
     if targets is None:
         targets = range(dimension(lam))
-    return weights, _transport(lam, stack, trans_maps, targets)
+    return weights, _transport(lam, stack, d, targets)
 
 
 def _member(lam: Partition, ti: int, wi: int, weight: tuple, vec: np.ndarray,
@@ -453,10 +442,9 @@ def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasi
     order), then weight index. Only the last basis built is cached.
     """
     check_young_size(n, d, cap)
-    trans_maps = _transposition_maps(n, d)
     out: list[YoungBasisVector] = []
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
-        weights, stacks = _block(lam, d, n, trans_maps)
+        weights, stacks = _block(lam, d, n)
         for ti, stack in stacks.items():
             for wi, (mu, vec) in enumerate(zip(weights, stack)):
                 out.append(_member(lam, ti, wi, mu, vec, d, n))
@@ -471,34 +459,26 @@ def young_vectors(n: int, d: int, labels,
     index, weight index) labels, in their order, each equal to its
     member bit for bit.
 
-    Every label is checked before anything is allocated. The
-    transposition maps are built once and one block per distinct shape;
-    a block's weight copies stop at the highest weight index asked of
-    it, and its tableau vectors are built only along the transport paths
-    to the tableaux asked for. Nothing is kept between calls.
+    Every label is checked before anything is allocated. One block is
+    built per distinct shape; a block's weight copies stop at the highest
+    weight index asked of it, and its tableau vectors are built only
+    along the transport paths to the tableaux asked for. Nothing is kept
+    between calls.
     """
     labels = [tuple(label) for label in labels]
     check_young_size(n, d, cap)
     for label in labels:
         check_young_label(n, d, *label)
-    trans_maps = _transposition_maps(n, d)
     unique = list(dict.fromkeys(labels))
     members: dict[tuple, YoungBasisVector] = {}
     for lam in dict.fromkeys(shape for shape, _, _ in unique):
         mine = [(ti, wi) for shape, ti, wi in unique if shape == lam]
         copies = sorted({wi for _, wi in mine})
-        weights, stacks = _block(lam, d, n, trans_maps, copies, sorted({ti for ti, _ in mine}))
+        weights, stacks = _block(lam, d, n, copies, sorted({ti for ti, _ in mine}))
         for ti, wi in mine:
             row = stacks[ti][copies.index(wi)]
             members[(lam, ti, wi)] = _member(lam, ti, wi, weights[wi], row, d, n)
     return tuple(members[label] for label in labels)
-
-
-def young_vector(n: int, d: int, shape: Partition, tableau_index: int,
-                 weight_index: int) -> YoungBasisVector:
-    """The member of young_basis(n, d) with this label, equal to it bit
-    for bit: `young_vectors` of the one label."""
-    return young_vectors(n, d, [(shape, tableau_index, weight_index)])[0]
 
 
 def check_request(u, v, f: "AlgebraElement") -> tuple[Statevector, Statevector]:
@@ -532,11 +512,12 @@ def exact_matrix_element(u, v, f: "AlgebraElement", t: float) -> complex:
     su, sv = check_request(u, v, f)
     if not math.isfinite(t):
         raise ValueError(f"need finite t, got {t}")
-    _check_dense(su.d, su.n, DEFAULT_DENSE_CAP)
-    maps = permutation_index_maps(f.support(), su.d)
-    # one integer per weight, the digit counts read in base n + 1: the
-    # sum over qudits of (n + 1)^digit, with no (d^n x d) count table
-    code = ((su.n + 1) ** _digit_table_cached(su.d, su.n)).sum(axis=1)
+    d, n = su.d, su.n
+    _check_dense(d, n, DEFAULT_DENSE_CAP)
+    maps = permutation_index_maps(f.support(), d)
+    # one integer per weight: an index's digits sorted and read in base d,
+    # below d^n, ascending as the digit counts from the highest digit down
+    code = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, -1), axis=0)
     value = 0j
     # sectors are taken per vector, not per index: two basis states of
     # one sector with disjoint supports still couple through it

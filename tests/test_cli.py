@@ -205,7 +205,7 @@ def matelem_calls(monkeypatch):
 
     calls = []
     for module, name in [(quditsim, "young_basis"), (cli, "young_basis"),
-                         (quditsim, "young_vector"), (quditsim, "young_vectors"),
+                         (quditsim, "young_vectors"),
                          (cli, "young_vectors"),
                          (quditsim, "exact_matrix_element"),
                          (group_algebra, "pi_tilde_dense")]:

@@ -35,7 +35,6 @@ from snsim.quditsim import (
     irrep_matrix_element,
     permutation_matrix,
     young_basis,
-    young_vector,
     young_vectors,
 )
 from snsim.young import Partition
@@ -288,7 +287,7 @@ def test_both_routes_match_the_irrep_oracle_at_n12():
     u_label, v_label = (Partition((10, 2)), 0, 1), (Partition((10, 2)), 3, 1)
     expect = irrep_matrix_element(u_label, v_label, f, 1.0)
     assert abs(expect) >= 1e-3
-    u, v = young_vector(n, 2, *u_label), young_vector(n, 2, *v_label)
+    u, v = young_vectors(n, 2, [u_label, v_label])
     for eps in (1e-3, 1e-6):
         for route in (matrix_element, matrix_element_pauli):
             got, _ = route(u, v, f, 1.0, eps)

@@ -4,6 +4,7 @@ generated inputs."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_group_algebra import hex_terms, reference_convolve
@@ -18,9 +19,9 @@ from snsim.group_algebra import (
     random_hermitian_k_local,
 )
 from snsim.permutation import Permutation, identity
-from snsim.quditsim import exact_matrix_element, irrep_matrix_element, young_vector
-from snsim.yor import dimension
-from snsim.young import enumerate_partitions, weyl_dimension
+from snsim.quditsim import exact_matrix_element, irrep_matrix_element, young_vectors
+from snsim.yor import dimension, tableaux
+from snsim.young import StandardTableau, enumerate_partitions, hook_length_dimension, weyl_dimension
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -111,8 +112,56 @@ def young_pairs(draw):
 @given(young_pairs())
 def test_irrep_oracle_matches_dense_oracle(request):
     n, d, f, u, v, t = request
-    uv, vv = (young_vector(n, d, *label) for label in (u, v))
+    uv, vv = young_vectors(n, d, (u, v))
     assert abs(irrep_matrix_element(u, v, f, t) - exact_matrix_element(uv, vv, f, t)) <= 1e-12
+
+
+def restricted(tableau, m):
+    """The tableau of the entries 1..m of `tableau`."""
+    rows = (tuple(e for e in row if e <= m) for row in tableau.rows)
+    return StandardTableau(tuple(row for row in rows if row))
+
+
+@st.composite
+def embedded_requests(draw, n):
+    """m, a Hermitian element on S_m, the same element embedded in S_n
+    (fixing m+1..n), a shape of n, two of its tableau indices and a time."""
+    m = draw(st.integers(2, n - 1))
+    coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    small: dict = {}
+    for p, c in draw(st.lists(st.tuples(permutations_of(m), coefficients), min_size=1, max_size=4)):
+        small[p] = small.get(p, 0j) + c
+        small[p.inverse()] = small.get(p.inverse(), 0j) + c.conjugate()
+    tail = tuple(range(m + 1, n + 1))
+    big = {Permutation(p.images + tail): c for p, c in small.items()}
+    lam = draw(st.sampled_from([lam for lam in enumerate_partitions(n)
+                                if hook_length_dimension(lam) <= 200]))
+    ts = tableaux(lam)
+    ti = draw(st.integers(0, len(ts) - 1))
+    # often a partner placing m+1..n where ts[ti] does, where the element
+    # need not vanish
+    same = [j for j, t in enumerate(ts) if all(t.position(k) == ts[ti].position(k) for k in tail)]
+    tj = draw(st.one_of(st.sampled_from(same), st.integers(0, len(ts) - 1)))
+    return (m, algebra_element(m, small), algebra_element(n, big), lam, ti, tj,
+            draw(st.floats(-3.0, 3.0)))
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_irrep_element_restricts_to_the_embedded_group(n, data):
+    # Young's orthogonal form is adapted to S_1 < .. < S_n: on an element
+    # of S_m the S_n element splits over the cells of m+1..n
+    m, small, big, lam, ti, tj, t = data.draw(embedded_requests(n))
+    t_u, t_v = tableaux(lam)[ti], tableaux(lam)[tj]
+    got = irrep_matrix_element((lam, ti, 0), (lam, tj, 0), big, t)
+    if any(t_u.position(k) != t_v.position(k) for k in range(m + 1, n + 1)):
+        assert abs(got) <= 1e-12
+        return
+    mu = restricted(t_u, m).shape
+    u, v = ((mu, tableaux(mu).index(restricted(tab, m)), 0) for tab in (t_u, t_v))
+    expect = irrep_matrix_element(u, v, small, t)
+    assert abs(got - expect) <= 1e-12
 
 
 @PROPERTY

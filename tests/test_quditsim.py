@@ -32,7 +32,7 @@ from snsim.quditsim import (
     replay_swap_network,
     swap_network,
     young_basis,
-    young_vector,
+    young_vectors,
 )
 from snsim.yor import generator_tables, tableaux, yor
 from snsim.young import (
@@ -231,8 +231,8 @@ def test_young_basis_weights_count_digits():
 def digit_counts(d, n):
     """counts[i, a] = how many qudits of basis index i hold digit a: the
     weight of i, which every P(p) keeps."""
-    digits = quditsim._digit_table_cached(d, n)
-    return np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
+    digits = np.indices((d,) * n).reshape(n, -1)
+    return np.stack([(digits == a).sum(axis=0) for a in range(d)], axis=1)
 
 
 def transposition_maps(n, d):
@@ -263,7 +263,7 @@ def test_top_weight_vector_matches_eigen_refinement(n, d):
     trans_maps = transposition_maps(n, d)
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
         t0 = tableaux(lam)[0]
-        got = quditsim._top_weight_vector(lam, t0, d, n, trans_maps)
+        got = quditsim._top_weight_vector(lam, t0, d, n)
         want = reference_top_weight_vector(lam, t0, d, n, trans_maps)
         assert np.max(np.abs(got - want)) <= 1e-12, lam
 
@@ -351,10 +351,10 @@ def reference_young_basis(n, d):
     built one weight copy at a time, each weight recounted from the digits
     of the vector's first amplitude above 1e-9."""
     trans_maps = transposition_maps(n, d)
-    digits = quditsim._digit_table_cached(d, n)
+    digits = np.indices((d,) * n).reshape(n, -1).T
     out = []
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
-        v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n, trans_maps)
+        v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n)
         per_copy = [reference_transport(lam, vec, trans_maps)
                     for _, vec in quditsim._su_d_copies(lam, v_top, d, n)]
         for ti in range(len(tableaux(lam))):
@@ -385,9 +385,9 @@ def test_young_basis_transports_once_per_shape(monkeypatch):
     calls, swaps = [], []
     transport, swap = quditsim._transport, StandardTableau.swap
 
-    def recording_transport(lam, seeds, trans_maps, targets):
+    def recording_transport(lam, seeds, d, targets):
         calls.append((lam, seeds.shape, list(targets)))
-        return transport(lam, seeds, trans_maps, targets)
+        return transport(lam, seeds, d, targets)
 
     def recording_swap(self, k):
         swaps.append(k)
@@ -415,7 +415,7 @@ def same_member(got, want):
 @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (8, 2), (4, 3), (5, 3), (4, 4)])
 def test_young_vector_is_the_basis_member_bit_for_bit(n, d):
     for want in young_basis(n, d):
-        same_member(young_vector(n, d, want.shape, want.tableau_index, want.weight_index), want)
+        same_member(young_vectors(n, d, [label(want)])[0], want)
 
 
 def test_young_vector_matches_sampled_members_at_n10():
@@ -423,7 +423,7 @@ def test_young_vector_matches_sampled_members_at_n10():
     rng = np.random.default_rng(10)
     for i in rng.choice(len(basis), size=24, replace=False):
         want = basis[int(i)]
-        same_member(young_vector(10, 2, want.shape, want.tableau_index, want.weight_index), want)
+        same_member(young_vectors(10, 2, [label(want)])[0], want)
 
 
 def label_pairs(basis):
@@ -478,37 +478,31 @@ def test_young_vector_builds_one_block_and_one_copy(monkeypatch):
     calls = []
     transport = quditsim._transport
 
-    def recording_transport(lam, seeds, trans_maps, targets):
+    def recording_transport(lam, seeds, d, targets):
         calls.append((lam, seeds.shape, list(targets)))
-        return transport(lam, seeds, trans_maps, targets)
+        return transport(lam, seeds, d, targets)
 
     monkeypatch.setattr(quditsim, "_transport", recording_transport)
     lam = enumerate_partitions(n, max_rows=d)[3]
-    first = young_vector(n, d, lam, 2, 1)
-    second = young_vector(n, d, lam, 2, 1)
+    first = young_vectors(n, d, [(lam, 2, 1)])[0]
+    second = young_vectors(n, d, [(lam, 2, 1)])[0]
     assert calls == [(lam, (1, d**n), [2])] * 2  # nothing is kept between calls
     assert first.vector.amplitudes is not second.vector.amplitudes
 
 
 def test_young_vectors_build_one_block_per_shape(monkeypatch):
     n, d = 6, 3
-    calls, maps = [], []
-    transport, build_maps = quditsim._transport, quditsim._transposition_maps
+    calls = []
+    transport = quditsim._transport
 
-    def recording_transport(lam, seeds, trans_maps, targets):
+    def recording_transport(lam, seeds, d, targets):
         calls.append((lam, seeds.shape, list(targets)))
-        return transport(lam, seeds, trans_maps, targets)
-
-    def recording_maps(*args):
-        maps.append(args)
-        return build_maps(*args)
+        return transport(lam, seeds, d, targets)
 
     monkeypatch.setattr(quditsim, "_transport", recording_transport)
-    monkeypatch.setattr(quditsim, "_transposition_maps", recording_maps)
     lam, other = enumerate_partitions(n, max_rows=d)[3:5]
     labels = [(lam, 4, 2), (other, 0, 0), (lam, 1, 0), (lam, 4, 2)]
     got = quditsim.young_vectors(n, d, labels)
-    assert maps == [(n, d)]
     # one transport per distinct shape, of its distinct copies to its
     # distinct tableaux; a repeated label is the same member
     assert calls == [(lam, (2, d**n), [1, 4]), (other, (1, d**n), [0])]
@@ -532,54 +526,55 @@ def transport_depths(lam):
     return [depth[i] for i in range(len(ts))]
 
 
-class CountingMaps(dict):
-    """Transposition maps that count the gathers taken from them."""
+class CountingExchanges:
+    """`quditsim._exchange`, counting the calls made to it."""
 
-    gathers = 0
+    def __init__(self, monkeypatch):
+        self.calls, self.exchange = 0, quditsim._exchange
+        monkeypatch.setattr(quditsim, "_exchange", self)
 
-    def __getitem__(self, key):
-        self.gathers += 1
-        return super().__getitem__(key)
+    def __call__(self, *args):
+        self.calls += 1
+        return self.exchange(*args)
 
 
 @pytest.mark.parametrize("n,d,parts", [(8, 2, (5, 3)), (6, 3, (3, 2, 1)), (7, 2, (4, 3))])
-def test_transport_gathers_once_per_edge_on_the_requested_paths(n, d, parts):
+def test_transport_gathers_once_per_edge_on_the_requested_paths(n, d, parts, monkeypatch):
     lam = Partition(parts)
     dim = len(tableaux(lam))
-    trans_maps = quditsim._transposition_maps(n, d)
-    v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n, trans_maps)
+    v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n)
     seeds = np.stack([vec for _, vec in quditsim._su_d_copies(lam, v_top, d, n)])
-    full = quditsim._transport(lam, seeds, trans_maps, range(dim))
+    full = quditsim._transport(lam, seeds, d, range(dim))
     assert list(full) == list(range(dim))
     depth = transport_depths(lam)
     rng = np.random.default_rng(dim)
     requests = [[0], [dim - 1], [int(rng.integers(dim))]]
     requests += [sorted({int(i) for i in rng.choice(dim, 2)}) for _ in range(3)]
+    counting = CountingExchanges(monkeypatch)
     for targets in requests + [list(range(dim))]:
-        counting = CountingMaps(trans_maps)
-        got = quditsim._transport(lam, seeds, counting, targets)
+        counting.calls = 0
+        got = quditsim._transport(lam, seeds, d, targets)
         assert list(got) == targets
         for ti in targets:
             assert got[ti].tobytes() == full[ti].tobytes()
         # a tree path to tableau t has depth(t) edges; paths may share edges
-        assert counting.gathers <= sum(depth[ti] for ti in targets)
+        assert counting.calls <= sum(depth[ti] for ti in targets)
         if len(targets) == 1:
-            assert counting.gathers == depth[targets[0]]
+            assert counting.calls == depth[targets[0]]
         if len(targets) == dim:
-            assert counting.gathers == dim - 1
+            assert counting.calls == dim - 1
 
 
 def test_transport_frees_what_it_does_not_return():
     n, d, lam = 12, 2, Partition((6, 6))
     dim = len(tableaux(lam))
-    trans_maps = quditsim._transposition_maps(n, d)
     seeds = np.random.default_rng(1).standard_normal((1, d**n))
     deepest = int(np.argmax(transport_depths(lam)))
-    quditsim._transport(lam, seeds, trans_maps, [0])  # fills the tableau caches
+    quditsim._transport(lam, seeds, d, [0])  # fills the tableau caches
     gc.disable()  # a reference cycle would keep the path's vectors alive
     tracemalloc.start()
     try:
-        got = quditsim._transport(lam, seeds, trans_maps, [deepest])
+        got = quditsim._transport(lam, seeds, d, [deepest])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -615,7 +610,7 @@ def lowering_log(monkeypatch, build):
                                        (4, 4, (2, 1, 1))])
 def test_lowering_stops_at_the_highest_requested_copy(n, d, parts, monkeypatch):
     lam = Partition(parts)
-    full = lowering_log(monkeypatch, lambda: young_vector(n, d, lam, 0, weyl_dimension(lam, d) - 1))
+    full = lowering_log(monkeypatch, lambda: young_vectors(n, d, [(lam, 0, weyl_dimension(lam, d) - 1)]))
     assert full.count("C") == weyl_dimension(lam, d)
     for wi in range(weyl_dimension(lam, d)):
         # copy wi is the (wi + 1)-th made; nothing is lowered after it
@@ -629,10 +624,10 @@ def site_loop_index_map(p, d):
     """The gather of P(p) summed one site at a time: the reference loop
     for the stacked builder."""
     n = p.n
-    digits = quditsim._digit_table_cached(d, n)
+    digits = np.indices((d,) * n).reshape(n, -1)
     g = np.zeros(d**n, dtype=np.intp)
     for q in range(1, n + 1):
-        g += digits[:, p(q) - 1] * d ** (n - q)
+        g += digits[p(q) - 1] * d ** (n - q)
     return g
 
 
@@ -656,25 +651,36 @@ def test_index_maps_equal_the_site_loop(d):
 def test_index_maps_allocate_no_temporary_larger_than_the_stack(count):
     n, d = 12, 2
     perms = random_hermitian_k_local(n, 3, count, seed=4).support()[:count]
-    quditsim._digit_table_cached(d, n)  # cached tables are not the call's
     tracemalloc.start()
     try:
         stack = quditsim.permutation_index_maps(perms, d)
+        shape, nbytes = stack.shape, stack.nbytes
         peak = tracemalloc.get_traced_memory()[1]
+        del stack
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert stack.shape == (count, d**n)
-    # the stack, at most one temporary of its size, and some slack; a
-    # site-major copy of the digit table alone would be 12 maps
-    assert peak <= 2 * stack.nbytes + 2**16
+    assert shape == (count, d**n)
+    # the stack, the one index tensor its rows are read from, and some
+    # slack; a (d^n x n) digit table alone would be 12 maps
+    assert peak <= nbytes + d**n * np.dtype(np.intp).itemsize + 2**16
+    # nothing is cached for a later call
+    assert held <= 2**10
 
 
-def test_transposition_maps_match_permutation_index_map():
+def test_exchange_matches_the_transposition_index_map():
+    rng = np.random.default_rng(7)
     for n, d in [(1, 2), (2, 2), (5, 3), (7, 2), (4, 4)]:
-        maps = quditsim._transposition_maps(n, d)
-        assert sorted(maps) == [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]
-        for (i, k), g in maps.items():
-            assert np.array_equal(g, permutation_index_map(transposition(n, i, k), d))
+        pairs = [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]
+        assert len(pairs) == n * (n - 1) // 2
+        vec, stack = rng.standard_normal(d**n), rng.standard_normal((3, d**n))
+        for i, k in pairs:
+            g = permutation_index_map(transposition(n, i, k), d)
+            for got, want, src in [(quditsim._exchange(vec, d, n, i, k), vec[g], vec),
+                                   (quditsim._exchange(stack, d, n, i, k), stack[:, g], stack)]:
+                assert got.shape == src.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, src)
 
 
 @pytest.mark.parametrize("n,d", [(0, 2), (-1, 2), (3, 1), (3, 0), (3, -2), (0, 0)])
@@ -687,7 +693,7 @@ def test_young_builders_refuse_an_empty_register(n, d, monkeypatch):
     with pytest.raises(ValueError, match="need d >= 2, n >= 1"):
         young_basis(n, d)
     with pytest.raises(ValueError, match="need d >= 2, n >= 1"):
-        young_vector(n, d, Partition((3,)), 0, 0)
+        young_vectors(n, d, [(Partition((3,)), 0, 0)])
 
 
 @pytest.mark.parametrize("label", [("3+1", -1, 0), ("3+1", 3, 0), ("3+1", 0, 9),
@@ -695,14 +701,14 @@ def test_young_builders_refuse_an_empty_register(n, d, monkeypatch):
 def test_young_vector_refuses_labels_outside_the_basis(label):
     shape, ti, wi = parse_partition(label[0]), label[1], label[2]
     with pytest.raises(ValueError, match=r"no Young basis vector .* for n=4, d=2"):
-        young_vector(4, 2, shape, ti, wi)
+        young_vectors(4, 2, [(shape, ti, wi)])
 
 
 def test_young_vector_checks_the_cap_first():
     with pytest.raises(ResourceLimitError):
-        young_vector(15, 2, Partition((15,)), 0, 0)
+        young_vectors(15, 2, [(Partition((15,)), 0, 0)])
     with pytest.raises(ResourceLimitError):
-        young_vector(15, 2, Partition((99,)), 0, 0)
+        young_vectors(15, 2, [(Partition((99,)), 0, 0)])
 
 
 def label(vec):
@@ -1004,7 +1010,7 @@ def test_sector_oracle_refuses_past_the_cap(monkeypatch):
 
 
 def test_sector_oracle_keys_sectors_without_a_count_table():
-    # the sector codes come from the (d^n x n) digit table: a (d^n x d)
+    # the sector keys come from the (n x d^n) digit indices: a (d^n x d)
     # table of digit counts would be 134 MB at d = 4096, n = 1
     d = 4096
     u, v = basis_state(d, 1, 3), basis_state(d, 1, 5)
@@ -1017,6 +1023,26 @@ def test_sector_oracle_keys_sectors_without_a_count_table():
         tracemalloc.stop()
     assert abs(values[0] - np.exp(-0.5j)) <= 1e-15 and values[1] == 0j
     assert peak <= 8 * 2**20
+
+
+def test_sector_oracle_keeps_every_weight_apart_at_large_d(monkeypatch):
+    # at n = 1 every digit is its own weight; codes in base n + 1 would
+    # wrap past int64 here and merge hundreds of sectors into one block
+    d, t, c = 1024, 0.7, 0.3
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    u, v = (Statevector(d, 1, x / np.linalg.norm(x)) for x in raw)
+    shapes = []
+    full = np.linalg.eigh
+
+    def recording(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return full(mat, *args, **kwargs)
+
+    monkeypatch.setattr(quditsim.np.linalg, "eigh", recording)
+    got = exact_matrix_element(u, v, algebra_element(1, {identity(1): c}), t)
+    assert shapes == [(1, 1)] * d
+    assert abs(got - np.exp(-1j * t * c) * u.inner(v)) <= 1e-13
 
 
 @st.composite
