@@ -47,9 +47,10 @@ element per order, so each permutation takes one term; a cancelling
 identity pair tops the 1-norm up to 2 where products merged.
 `convolve` forms each power's products as one image array, so no
 `Permutation` is composed.
-The segment keeps its terms as arrays (betas, phases and one permutation
-per term), which is all `run_segment` reads; `LcuSegment.terms` builds
-the per-term `LcuTerm` view, with each term's SWAP word, only when asked.
+The segment is a plain value, its terms held as arrays (betas, phases
+and one permutation per term); `run_segment` reads only these and builds
+its index tables on each call. `LcuSegment.terms` builds the per-term
+`LcuTerm` view, with each term's SWAP word, on each read.
 
 Gate accounting follows the one-permutation-per-select-round unit: a
 segment invokes W three times, each W performs K select rounds, and a
@@ -62,7 +63,6 @@ permutation moves at most 3 points, the regime of the suites here.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -146,15 +146,10 @@ class LcuSegment:
     phases: np.ndarray
     perms: tuple[Permutation, ...]
 
-    @functools.cached_property
-    def _gather_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """run_segment's forward and inverse (terms x d^n) index tables, by d."""
-        return {}
-
-    @functools.cached_property
+    @property
     def terms(self) -> tuple[LcuTerm, ...]:
         """The terms as LcuTerm values with their adjacent-SWAP words, built
-        on first use."""
+        on each read."""
         return tuple(
             LcuTerm(beta=beta, phase=phase, perm=p, word=tuple(swap_network(p)))
             for beta, phase, p in zip(self.betas.tolist(), self.phases.tolist(), self.perms)
@@ -339,8 +334,7 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     and after the amplification round the unnormalized ancilla-0 block
     is returned, including the segment's shift phase correction. Each
     SELECT is one gather of the live rows through a (terms x d^n) index
-    table, and its inverse for W^dag, built on the segment's first run
-    at this d and kept with it.
+    table, and its inverse for W^dag, both built on each call.
     """
     if seg.n != state.n:
         raise SizeMismatchError(f"segment on {seg.n} sites vs state on {state.n}")
@@ -368,13 +362,9 @@ def run_segment(state: Statevector, seg: LcuSegment) -> Statevector:
     # table, the identity's rows through the arange; W^dag through the
     # inverse table, each row's own gather scattered back
     rows = np.arange(live)[:, None]
-    tables = seg._gather_tables
-    if d not in tables:
-        fwd = permutation_index_maps(seg.perms, d)
-        inv = np.empty_like(fwd)
-        inv[rows, fwd] = np.arange(d**state.n)
-        tables[d] = fwd, inv
-    fwd, inv = tables[d]
+    fwd = permutation_index_maps(seg.perms, d)
+    inv = np.empty_like(fwd)
+    inv[rows, fwd] = np.arange(d**state.n)
 
     def apply_w(joint: np.ndarray, dagger: bool) -> np.ndarray:
         joint = prep_apply(joint)

@@ -230,32 +230,30 @@ def _lower(vec: np.ndarray, d: int, n: int, a: int) -> np.ndarray:
     """Lowering operator F_a = sum_sites |a><a-1|: digit a-1 -> a once."""
     t = vec.reshape((d,) * n)
     out = np.zeros_like(t)
-    src = [slice(None)] * n
-    dst = [slice(None)] * n
     for q in range(n):
-        src[q] = a - 1
-        dst[q] = a
-        out[tuple(dst)] += t[tuple(src)]
-        src[q] = slice(None)
-        dst[q] = slice(None)
+        out[(slice(None),) * q + (a,)] += t[(slice(None),) * q + (a - 1,)]
     return out.reshape(-1)
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    for x in vec:
-        if abs(x) > 1e-8:
-            return vec if x > 0 else -vec
-    raise RuntimeError("zero vector has no canonical sign")
+    lead = np.flatnonzero(np.abs(vec) > 1e-8)
+    if not lead.size:
+        raise RuntimeError("zero vector has no canonical sign")
+    return vec if vec[lead[0]] > 0 else -vec
 
 
 def _compositions(n: int, d: int):
-    """All weight strings (m_0..m_{d-1}) summing to n, lex-descending."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
+    """All weight strings (m_0..m_{d-1}) summing to n, lex-descending: each
+    moves one unit off the last digit i < d - 1 that holds one onto digit
+    i + 1, with the whole tail past i + 1."""
+    mu = [n] + [0] * (d - 1)
+    while True:
+        yield tuple(mu)
+        held = [i for i in range(d - 1) if mu[i]]
+        if not held:
+            return
+        i = held[-1]
+        mu[i:] = [mu[i] - 1, 1 + sum(mu[i + 1:])] + [0] * (d - i - 2)
 
 
 def _exchange(stack: np.ndarray, d: int, n: int, i: int, k: int) -> np.ndarray:

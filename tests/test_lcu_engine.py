@@ -309,14 +309,14 @@ def test_build_segment_matches_product_loop_as_an_operator(case):
         got[term.perm.images] = got.get(term.perm.images, 0j) + term.beta * term.phase
     assert max(abs(got.get(key, 0j) - expect.get(key, 0j)) for key in {*got, *expect}) <= 1e-14
     assert abs(math.fsum(seg.betas.tolist()) - 2.0) <= 1e-15
-    assert seg.terms is seg.terms
+    assert seg.terms == seg.terms
     assert seg.phase_correction == cmath.exp(1j * delta_t * shift)
 
     # one term per permutation, but for the identity's cancelling pair
     images = [term.perm.images for term in seg.terms]
     ident = identity(f.n).images
     assert all(images.count(key) == 1 for key in images if key != ident)
-    # the view's SWAP words, computed on first use
+    # the view's SWAP words, computed on each read
     assert [term.word for term in seg.terms] == [tuple(swap_network(term.perm))
                                                  for term in seg.terms]
     # the arrays that run_segment reads: one permutation per term, in
@@ -459,12 +459,22 @@ def test_identity_takes_the_path_of_every_permutation(monkeypatch):
     assert lcu.gate_count_report(pl, f) == report
 
 
-def test_explicit_run_builds_its_index_tables_once(monkeypatch):
-    # run_segment keeps a segment's gather tables per d, so the M runs of
-    # one matrix element build them once and a run at another d its own
+def test_run_segment_keeps_nothing_on_the_segment(monkeypatch):
+    # a segment is a plain value: run_segment builds its index tables on
+    # every call, at any d, and neither a run nor a view read writes to it
     f = random_hermitian_k_local(4, 3, 3, seed=11)
-    rng = np.random.default_rng(5)
-    u, v = (Statevector(2, 4, random_unit(rng, 2, 4)) for _ in range(2))
+    pl = plan(f, 0.8, 1e-3)
+    seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift)
+    states = {d: Statevector(d, 4, random_unit(np.random.default_rng(d), d, 4)) for d in (2, 3)}
+    expect = {d: reference_run_segment(state, seg).tobytes() for d, state in states.items()}
+    before = dict(vars(seg))
+    for d in (2, 3, 2, 3):
+        assert run_segment(states[d], seg).amplitudes.tobytes() == expect[d]
+    assert seg.terms
+    assert vars(seg).keys() == before.keys()
+    assert all(vars(seg)[key] is value for key, value in before.items())
+
+    # the M runs of one explicit matrix element build M forward tables
     calls = []
     original = lcu.permutation_index_maps
 
@@ -473,15 +483,7 @@ def test_explicit_run_builds_its_index_tables_once(monkeypatch):
         return original(perms, d)
 
     monkeypatch.setattr(lcu, "permutation_index_maps", counting)
+    rng = np.random.default_rng(5)
+    u, v = (Statevector(2, 4, random_unit(rng, 2, 4)) for _ in range(2))
     _, report = matrix_element(u, v, f, 2.0, 1e-3, explicit=True)
-    assert report.M >= 2 and calls == [2]
-
-    pl = plan(f, 0.8, 1e-3)
-    states = {d: Statevector(d, 4, random_unit(np.random.default_rng(d), d, 4)) for d in (2, 3)}
-    expect = {d: run_segment(state, build_segment(f, pl.delta_t, pl.K, shift=pl.shift))
-              for d, state in states.items()}
-    seg = build_segment(f, pl.delta_t, pl.K, shift=pl.shift)
-    calls.clear()
-    for d in (2, 3, 2, 3):
-        assert run_segment(states[d], seg).amplitudes.tobytes() == expect[d].amplitudes.tobytes()
-    assert calls == [2, 3]
+    assert report.M >= 2 and calls == [2] * report.M

@@ -228,6 +228,28 @@ def test_young_basis_weights_count_digits():
             assert digit_counts == v.weight
 
 
+def test_weight_strings_are_the_lex_descending_compositions():
+    for n in range(7):
+        for d in range(1, 6):
+            expect = sorted((mu for mu in itertools.product(range(n + 1), repeat=d)
+                             if sum(mu) == n), reverse=True)
+            assert list(quditsim._compositions(n, d)) == expect, (n, d)
+
+
+def test_young_basis_at_one_qudit_of_large_d():
+    # d weight strings of d digits each, with d past Python's recursion
+    # limit: the strings are generated without recursion
+    d = 1100
+    basis = young_basis(1, d)
+    assert len(basis) == d
+    for w, v in enumerate(basis):
+        unit = np.zeros(d)
+        unit[w] = 1.0
+        assert v.label() == f"1:0:{w}"
+        assert v.weight == tuple(unit.astype(int).tolist())
+        assert v.vector.amplitudes.tobytes() == unit.tobytes()
+
+
 def digit_counts(d, n):
     """counts[i, a] = how many qudits of basis index i hold digit a: the
     weight of i, which every P(p) keeps."""
