@@ -8,13 +8,19 @@ factor. Inversion carries the 1/n! instead.
 Two transforms are provided. `fourier_naive` walks the support of a
 sparse element, evaluating each representation matrix through its
 adjacent word; its cost scales with the support size and it serves as
-the correctness oracle. `fourier_fft` takes a dense table over all of
-S_n and recurses over the subgroup chain S_n > S_{n-1} > ...: the table
-splits into n cosets by the image of n, the sub-transforms embed as
-block diagonals via the branching rule, and the coset representative
-(i i+1 ... n) is applied one adjacent generator at a time, each costing
-2 dim^2 multiplies. Both transforms report a multiply counter so the
-factorial growth can be measured rather than asserted.
+the correctness oracle. rho(p) of a p that moves only the points of a
+window [a, b] is zero between tableaux that put some point outside the
+window in different cells, so the word is applied, for all shapes at
+once, only to the entries within those classes. `fourier_fft` takes a
+dense table over all of S_n and recurses over the subgroup chain
+S_n > S_{n-1} > ...: the table splits into n cosets by the image of n,
+the sub-transforms embed as block diagonals via the branching rule, and
+the coset representative (i i+1 ... n) is applied one adjacent
+generator at a time, each costing 2 dim^2 multiplies. Both transforms
+report a multiply counter so the factorial growth can be measured
+rather than asserted. The naive transform's counter is the model of a
+dense letter walk, sum over terms and shapes of (2 |word| + 1) dim^2,
+not the multiplies its windowed walk performs.
 """
 
 from __future__ import annotations
@@ -38,7 +44,12 @@ from .permutation import (
     format_cycles,
 )
 from .young import Partition, enumerate_partitions, branching_down
-from .yor import _word_matrix, apply_generator as _apply_generator, dimension as _yor_dimension
+from .yor import (
+    _word_matrix,
+    apply_generator as _apply_generator,
+    dimension as _yor_dimension,
+    generator_tables,
+)
 from .quditsim import _check_dense, permutation_index_maps
 
 __all__ = [
@@ -230,8 +241,19 @@ class FourierCoefficients:
     ops: int = 0
 
     def max_abs_diff(self, other: "FourierCoefficients") -> float:
+        """Largest entry of |self - other| over the blocks; both sets must
+        hold the same shapes of the same n."""
+        if self.n != other.n:
+            raise SizeMismatchError(f"comparing S_{self.n} coefficients with S_{other.n} ones")
+        for a, b in ((self, other), (other, self)):
+            missing = [shape for shape in a.blocks if shape not in b.blocks]
+            if missing:
+                raise SizeMismatchError(f"no block for shape {missing[0]} among the S_{b.n} coefficients")
         worst = 0.0
         for shape, mat in self.blocks.items():
+            if mat.shape != other.blocks[shape].shape:
+                raise SizeMismatchError(f"blocks {shape} of shapes {mat.shape} and "
+                                        f"{other.blocks[shape].shape}")
             worst = max(worst, float(np.abs(mat - other.blocks[shape]).max()))
         return worst
 
@@ -250,19 +272,141 @@ def check_factorial(n: int, cap: int):
 def fourier_naive(f: AlgebraElement, cap: int = DEFAULT_FACTORIAL_CAP) -> FourierCoefficients:
     """fhat(shape) = sum over support of f(p) rho_shape(p).
 
-    Cost is proportional to the support size; each term costs about
-    2 n! (|word(p)| + 1) multiplies summed over all shapes.
+    Each term's adjacent word is applied, rightmost letter first, to the
+    identity of every shape at once, but only on the entries (i, j) whose
+    tableaux lie in one class of the word's window (`_window_rows`):
+    rho(p) is zero elsewhere. Every entry takes the float operations of
+    `yor.apply_generator`, and the terms are added in order, so the blocks
+    are bit for bit those of the dense per-term walk sum c rho(p).
+
+    `ops` (`naive_ops` in `snsim fft`) is that dense letter walk's model,
+    sum over terms and shapes of (2 |word| + 1) dim^2, as
+    `test_operation_counters` pins it; it is not the number of multiplies
+    the windowed walk performs.
     """
     check_factorial(f.n, cap)
-    shapes = enumerate_partitions(f.n)
-    blocks = {s: np.zeros((_yor_dimension(s), _yor_dimension(s)), dtype=complex) for s in shapes}
+    stack = _irrep_rows(f.n)
+    words = [adjacent_word(p) for p, _ in f.terms]
+    windows = [(min(word), max(word)) if word else (1, 0) for word in words]
+    last = {window: t for t, window in enumerate(windows)}
+    # the blocks laid end to end, and one more slot that the walks' padding
+    # entries are added into
+    acc = np.zeros(stack.entries + 1, dtype=complex)
+    walks: dict[tuple[int, int], _WindowWalk] = {}
     ops = 0
-    for p, c in f.terms:
-        word = adjacent_word(p)
-        for s in shapes:
-            blocks[s] += c * _word_matrix(s, word)
-            ops += (2 * len(word) + 1) * _yor_dimension(s) ** 2
+    for t, ((_, c), word, (lo, hi)) in enumerate(zip(f.terms, words, windows)):
+        walk = walks.get((lo, hi))
+        if walk is None:
+            walk = walks[lo, hi] = _WindowWalk(f.n, lo, hi)
+        x = walk.identity
+        for k in reversed(word):
+            mate = np.take(x, walk.mate[k - lo], axis=1)
+            x = walk.diag[k - lo] * x + walk.offd[k - lo] * mate
+        np.add.at(acc, walk.positions, (c * x).ravel())
+        if last[lo, hi] == t:  # no later term needs this window's layout
+            del walks[lo, hi]
+        ops += (2 * len(word) + 1) * stack.entries
+    blocks, lo = {}, 0
+    for s, dim in zip(stack.shapes, stack.dims):
+        blocks[s] = acc[lo:lo + dim * dim].reshape(dim, dim)
+        lo += dim * dim
     return FourierCoefficients(f.n, blocks, ops)
+
+
+@dataclass(frozen=True)
+class _IrrepRows:
+    """The standard tableaux of every shape of n as one list of rows,
+    shapes in `enumerate_partitions` order, with `yor`'s generator tables
+    stacked along it (partners as stack rows). The blocks laid end to end
+    hold entry (i, j) at flat index block[i] + local[j]."""
+
+    shapes: tuple[Partition, ...]
+    dims: tuple[int, ...]
+    entries: int  # sum of dim^2, which is n!
+    diag: np.ndarray  # (n - 1, rows): rho(s_k)[i, i]
+    offd: np.ndarray  # (n - 1, rows): rho(s_k)[i, partner]
+    partner: np.ndarray  # (n - 1, rows)
+    block: np.ndarray  # (rows,)
+    local: np.ndarray  # (rows,)
+
+
+@functools.lru_cache(maxsize=None)
+def _irrep_rows(n: int) -> _IrrepRows:
+    shapes = tuple(enumerate_partitions(n))
+    dims = tuple(_yor_dimension(s) for s in shapes)
+    rows = sum(dims)
+    diag, offd = np.empty((2, n - 1, rows))
+    partner = np.empty((n - 1, rows), dtype=np.intp)
+    block, local = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
+    lo = flat = 0
+    for s, dim in zip(shapes, dims):
+        for k, (d, o, mate) in enumerate(generator_tables(s)):
+            diag[k, lo:lo + dim], offd[k, lo:lo + dim] = d, o
+            partner[k, lo:lo + dim] = mate + lo
+        local[lo:lo + dim] = np.arange(dim)
+        block[lo:lo + dim] = flat + dim * local[lo:lo + dim]
+        lo, flat = lo + dim, flat + dim * dim
+    for table in (diag, offd, partner, block, local):
+        table.setflags(write=False)  # cached: every call shares them
+    return _IrrepRows(shapes, dims, flat, diag, offd, partner, block, local)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_rows(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The classes of the stacked tableaux of n under the letters s_lo..s_hi.
+
+    Two rows share a class when a path of partners under those letters
+    joins them. The letters move only the points lo..hi+1, so rho of a
+    word in them is zero between classes, and a class holds the tableaux
+    that put every other point in the same cell. Returns the rows grouped
+    by class, each class in row order; each row's place in that list; and
+    for each place, the place its class begins at and the class's size."""
+    partners = _irrep_rows(n).partner[lo - 1:hi]
+    label = np.arange(partners.shape[1])
+    while True:
+        before = label
+        for mate in partners:
+            label = np.minimum(label, label[mate])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    # label is now the least row of each class, which begins the class
+    order = np.argsort(label, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    rows = order, where, where[label[order]], np.bincount(label, minlength=len(label))[label[order]]
+    for table in rows:
+        table.setflags(write=False)  # cached: every call shares them
+    return rows
+
+
+class _WindowWalk:
+    """One window's classes laid out for one fourier_naive call.
+
+    Entry [j, r] of the layout is the matrix entry between the tableau at
+    place r of the class order and the j-th tableau of its class, so a
+    tableau and its partner have the same j; j past the class's size pads
+    the class to the largest one and stays zero. A letter then scales and
+    mixes whole columns r, as `yor.apply_generator` does with rows; a
+    long last axis keeps numpy's loops long. `positions` gives each
+    entry's flat index in the blocks, the padding the slot past them, and
+    diag, offd and mate hold rho(s_k)'s row data in the class order, for
+    k = lo..hi."""
+
+    def __init__(self, n: int, lo: int, hi: int):
+        stack = _irrep_rows(n)
+        order, where, begin, size = _window_rows(n, lo, hi)
+        member = begin + np.arange(size.max())[:, None]
+        real = member < begin + size
+        self.positions = np.where(real, stack.block[order]
+                                  + stack.local[order[np.where(real, member, 0)]],
+                                  stack.entries).ravel()
+        # bool: the first letter's float multiply reads it as exactly 1.0 and 0.0
+        self.identity = member == np.arange(len(order))
+        letters = slice(lo - 1, hi)
+        self.diag = stack.diag[letters][:, order]
+        self.offd = stack.offd[letters][:, order]
+        self.mate = where[stack.partner[letters][:, order]]
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from snsim.permutation import (
     parse_permutation,
     transposition,
 )
-from snsim.yor import dimension
+from snsim.yor import _word_matrix, dimension, tableaux, yor
 from snsim.young import Partition, enumerate_partitions
 
 
@@ -49,6 +49,28 @@ def reference_convolve(f, g):
             r = p * q
             out[r] = out.get(r, 0j) + a * b
     return algebra_element(f.n, out)
+
+
+def dense_walk_fourier(f):
+    """sum c rho(p) per shape, each rho(p) the dense product of its
+    adjacent word's letters, added in term order from zero: the per-term
+    walk that `fourier_naive` replaced, as (blocks, ops)."""
+    shapes = enumerate_partitions(f.n)
+    blocks = {s: np.zeros((dimension(s), dimension(s)), dtype=complex) for s in shapes}
+    ops = 0
+    for p, c in f.terms:
+        word = adjacent_word(p)
+        for s in shapes:
+            blocks[s] += c * _word_matrix(s, word)
+            ops += (2 * len(word) + 1) * dimension(s) ** 2
+    return blocks, ops
+
+
+def assert_blocks_bit_equal(coeffs, blocks):
+    assert list(coeffs.blocks) == list(blocks)
+    for s, mat in blocks.items():
+        assert coeffs.blocks[s].shape == mat.shape
+        assert coeffs.blocks[s].tobytes() == mat.tobytes(), s
 
 
 def hex_terms(h):
@@ -206,6 +228,92 @@ def test_fft_equals_naive_sparse():
     nai = fourier_naive(f)
     fft = fourier_fft(dense_table(f), 5)
     assert fft.max_abs_diff(nai) <= 1e-10
+
+
+def naive_test_elements(n):
+    """Seeded elements of S_n: empty, the identity alone, and random
+    complex terms, each with its inverse at another coefficient, beside
+    the longest element (window [1, n]) and (n-1 n) (window [n-1, n]);
+    up to n = 6, also a complex coefficient on every permutation."""
+    rng = np.random.default_rng(100 + n)
+    yield algebra_element(n, {})
+    yield delta(identity(n))
+    out = {}
+    for _ in range(min(6, math.factorial(n))):
+        p = Permutation(tuple(int(i) + 1 for i in rng.permutation(n)))
+        out[p] = complex(rng.standard_normal(), rng.standard_normal())
+        out[p.inverse()] = complex(rng.standard_normal(), rng.standard_normal())
+    ends = [Permutation(tuple(range(n, 0, -1)))]
+    if n >= 2:
+        ends.append(transposition(n, n - 1, n))
+    for p in ends:
+        out[p] = complex(rng.standard_normal(), rng.standard_normal())
+    yield algebra_element(n, out)
+    yield algebra_element(n, {p: out[p] for p in ends})
+    if n <= 6:
+        yield random_element(n, n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fourier_naive_equals_the_dense_walk_bit_for_bit(n):
+    for f in naive_test_elements(n):
+        blocks, ops = dense_walk_fourier(f)
+        got = fourier_naive(f)
+        assert got.ops == ops
+        assert_blocks_bit_equal(got, blocks)
+
+
+def cell_classes(shape, word):
+    """Each tableau's cells of the points outside the word's window
+    [min letter, max letter + 1], the whole tableau for the empty word."""
+    lo, hi = (min(word), max(word) + 1) if word else (1, 0)
+    return [tuple(t.position(m) for m in range(1, shape.n + 1) if not lo <= m <= hi)
+            for t in tableaux(shape)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_yor_is_zero_outside_the_window_classes(n):
+    keys = {}
+    for p in enumerate_sn(n):
+        word = adjacent_word(p)
+        window = (min(word), max(word)) if word else ()
+        for s in enumerate_partitions(n):
+            if (s, window) not in keys:
+                cls = cell_classes(s, word)
+                keys[s, window] = np.array([[a == b for b in cls] for a in cls])
+            mat = yor(s, p)
+            assert not mat[~keys[s, window]].any(), (s, p)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_window_classes_are_the_tableaux_that_agree_outside_the_window(n):
+    # the partner paths that fourier_naive walks join exactly the
+    # tableaux that put every point outside the window in the same cell
+    stack = group_algebra._irrep_rows(n)
+    for lo, hi in [(1, 0), *((a, b) for a in range(1, n) for b in range(a, n))]:
+        order, where, begin, size = group_algebra._window_rows(n, lo, hi)
+        row = 0
+        for s, dim in zip(stack.shapes, stack.dims):
+            cls = cell_classes(s, list(range(lo, hi + 1)))
+            for i in range(dim):
+                place = where[row + i]
+                members = order[begin[place]:begin[place] + size[place]] - row
+                assert list(members) == [j for j in range(dim) if cls[j] == cls[i]]
+            row += dim
+
+
+def test_max_abs_diff_names_a_missing_shape():
+    full = fourier_naive(delta(identity(3)))
+    with pytest.raises(SizeMismatchError, match=r"no block for shape 3 among the S_3 "):
+        full.max_abs_diff(FourierCoefficients(3, {}))
+    with pytest.raises(SizeMismatchError, match=r"no block for shape 3 among the S_3 "):
+        FourierCoefficients(3, {}).max_abs_diff(full)
+    with pytest.raises(SizeMismatchError, match=r"S_3 coefficients with S_4"):
+        full.max_abs_diff(fourier_naive(delta(identity(4))))
+    odd = FourierCoefficients(3, {s: np.zeros((1, 1)) for s in full.blocks})
+    with pytest.raises(SizeMismatchError, match=r"blocks 2\+1 "):
+        full.max_abs_diff(odd)
+    assert full.max_abs_diff(fourier_fft(dense_table(delta(identity(3))), 3)) == 0.0
 
 
 def test_inverse_roundtrip_both_transforms():

@@ -1,13 +1,13 @@
 """Property tests: group laws, convolution against the dict loop, the
-convolution theorem, the irrep oracle and the element JSON form on
-generated inputs."""
+convolution theorem, the naive transform against the dense walk, the
+irrep oracle and the element JSON form on generated inputs."""
 
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_group_algebra import hex_terms, reference_convolve
+from test_group_algebra import assert_blocks_bit_equal, dense_walk_fourier, hex_terms, reference_convolve
 
 from snsim.cli import _json_text
 from snsim.group_algebra import (
@@ -16,6 +16,7 @@ from snsim.group_algebra import (
     convolve,
     element_from_json_dict,
     element_to_json_dict,
+    fourier_naive,
     random_hermitian_k_local,
 )
 from snsim.permutation import Permutation, identity
@@ -68,6 +69,15 @@ def test_compose_is_associative_with_inverses(triple):
 def test_convolution_theorem_on_sparse_elements(pair):
     f, g = pair
     assert convolution_theorem_check(f, g) <= 1e-10
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(sparse_elements))
+def test_fourier_naive_equals_the_dense_walk(f):
+    blocks, ops = dense_walk_fourier(f)
+    got = fourier_naive(f)
+    assert got.ops == ops
+    assert_blocks_bit_equal(got, blocks)
 
 
 @st.composite
