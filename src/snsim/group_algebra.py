@@ -10,8 +10,10 @@ sparse element, evaluating each representation matrix through its
 adjacent word; its cost scales with the support size and it serves as
 the correctness oracle. rho(p) of a p that moves only the points of a
 window [a, b] is zero between tableaux that put some point outside the
-window in different cells, so the word is applied, for all shapes at
-once, only to the entries within those classes. `fourier_fft` takes a
+window in different cells, and on one such class it depends only on the
+class's generator tables; so the word is applied, for all shapes at
+once, to one class of each group of classes with identical tables, and
+the result is added to each class of the group. `fourier_fft` takes a
 dense table over all of S_n and recurses over the subgroup chain
 S_n > S_{n-1} > ...: the table splits into n cosets by the image of n,
 the sub-transforms embed as block diagonals via the branching rule, and
@@ -272,39 +274,35 @@ def check_factorial(n: int, cap: int):
 def fourier_naive(f: AlgebraElement, cap: int = DEFAULT_FACTORIAL_CAP) -> FourierCoefficients:
     """fhat(shape) = sum over support of f(p) rho_shape(p).
 
-    Each term's adjacent word is applied, rightmost letter first, to the
-    identity of every shape at once, but only on the entries (i, j) whose
-    tableaux lie in one class of the word's window (`_window_rows`):
-    rho(p) is zero elsewhere. Every entry takes the float operations of
+    rho(p) is zero between tableaux in different classes of the window
+    [min letter, max letter] of p's adjacent word (`_window_rows`), and on
+    one class it depends only on that class's generator tables. So each
+    term's word is applied, rightmost letter first, to one class of each
+    group of classes with identical tables, all shapes at once
+    (`_window_groups`), and the result is added to every class of its
+    group. Every entry takes the float operations of
     `yor.apply_generator`, and the terms are added in order, so the blocks
     are bit for bit those of the dense per-term walk sum c rho(p).
 
     `ops` (`naive_ops` in `snsim fft`) is that dense letter walk's model,
     sum over terms and shapes of (2 |word| + 1) dim^2, as
     `test_operation_counters` pins it; it is not the number of multiplies
-    the windowed walk performs.
+    the grouped walk performs.
     """
     check_factorial(f.n, cap)
     stack = _irrep_rows(f.n)
-    words = [adjacent_word(p) for p, _ in f.terms]
-    windows = [(min(word), max(word)) if word else (1, 0) for word in words]
-    last = {window: t for t, window in enumerate(windows)}
-    # the blocks laid end to end, and one more slot that the walks' padding
-    # entries are added into
-    acc = np.zeros(stack.entries + 1, dtype=complex)
-    walks: dict[tuple[int, int], _WindowWalk] = {}
+    acc = np.zeros(stack.entries, dtype=complex)  # the blocks laid end to end
     ops = 0
-    for t, ((_, c), word, (lo, hi)) in enumerate(zip(f.terms, words, windows)):
-        walk = walks.get((lo, hi))
-        if walk is None:
-            walk = walks[lo, hi] = _WindowWalk(f.n, lo, hi)
+    for p, c in f.terms:
+        word = adjacent_word(p)
+        lo, hi = (min(word), max(word)) if word else (1, 0)
+        walk = _window_groups(f.n, lo, hi)
         x = walk.identity
         for k in reversed(word):
             mate = np.take(x, walk.mate[k - lo], axis=1)
             x = walk.diag[k - lo] * x + walk.offd[k - lo] * mate
-        np.add.at(acc, walk.positions, (c * x).ravel())
-        if last[lo, hi] == t:  # no later term needs this window's layout
-            del walks[lo, hi]
+        # a window's positions are distinct, so this adds each value once
+        acc[walk.positions] += (c * x).ravel()[walk.sources]
         ops += (2 * len(word) + 1) * stack.entries
     blocks, lo = {}, 0
     for s, dim in zip(stack.shapes, stack.dims):
@@ -351,7 +349,6 @@ def _irrep_rows(n: int) -> _IrrepRows:
     return _IrrepRows(shapes, dims, flat, diag, offd, partner, block, local)
 
 
-@functools.lru_cache(maxsize=None)
 def _window_rows(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """The classes of the stacked tableaux of n under the letters s_lo..s_hi.
 
@@ -374,39 +371,73 @@ def _window_rows(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     order = np.argsort(label, kind="stable")
     where = np.empty_like(order)
     where[order] = np.arange(len(order))
-    rows = order, where, where[label[order]], np.bincount(label, minlength=len(label))[label[order]]
-    for table in rows:
+    return order, where, where[label[order]], np.bincount(label, minlength=len(label))[label[order]]
+
+
+@dataclass(frozen=True)
+class _WindowGroups:
+    """One window's classes, grouped by identical tables and laid out for
+    fourier_naive's walk.
+
+    Two classes share a group when they have the same size and, member by
+    member in class order, the same diag, offd and in-class partner place
+    under every letter lo..hi; rho of a word in those letters is then the
+    same block on both, bit for bit. The layout holds the first class of
+    each group: entry [j, r] is the matrix entry between the tableau of
+    column r and the j-th tableau of its class, so a tableau and its
+    partner have the same j, and j past the class's size pads the class to
+    the largest one and stays zero. A letter scales and mixes whole
+    columns, as `yor.apply_generator` does with rows, and a long last axis
+    keeps numpy's loops long. Every real entry of every class of the
+    window has its flat index in the blocks at `positions` and that of its
+    group's entry in the layout at `sources`."""
+
+    identity: np.ndarray  # (largest class, columns), bool
+    diag: np.ndarray  # (letters, columns): rho(s_k)'s row data, k = lo..hi
+    offd: np.ndarray  # (letters, columns)
+    mate: np.ndarray  # (letters, columns): the partner's column
+    positions: np.ndarray  # (entries,)
+    sources: np.ndarray  # (entries,)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_groups(n: int, lo: int, hi: int) -> _WindowGroups:
+    stack = _irrep_rows(n)
+    order, where, begin, size = _window_rows(n, lo, hi)
+    letters = slice(lo - 1, hi)
+    rank = np.arange(len(order)) - begin  # each place's index in its class
+    diag = stack.diag[letters][:, order]
+    offd = stack.offd[letters][:, order]
+    mate = where[stack.partner[letters][:, order]] - begin  # the partner's rank
+    # a class's key: its size, then its members' tables by rank, as bits,
+    # each key one byte string, which sorts faster than rows of fields
+    width = int(size.max())
+    starts = np.flatnonzero(rank == 0)
+    held = np.arange(width) < size[starts, None]
+    tables = np.concatenate([diag.view(np.int64), offd.view(np.int64), mate])
+    keys = tables[:, np.where(held, starts[:, None] + np.arange(width), 0)] * held
+    keys = np.concatenate([size[starts, None], keys.transpose(1, 0, 2).reshape(len(starts), -1)], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    # the layout's columns: the places of each group's first class in turn
+    widths = size[starts[first]]
+    column0 = np.cumsum(widths) - widths
+    places = np.repeat(starts[first] - column0, widths) + np.arange(widths.sum())
+    # bool: the first letter's float multiply reads it as exactly 1.0 and 0.0
+    identity = np.arange(width)[:, None] == rank[places]
+    mate = mate[:, places] + np.repeat(column0, widths)
+    # the real entries (i, order[begin + j]) of each row i in turn, so that
+    # positions ascend, and for each its group's entry [j, column of i]
+    column = (column0[group[np.cumsum(rank == 0) - 1]] + rank)[where]
+    begin, size = begin[where], size[where]
+    j = np.arange(width)
+    real = j < size[:, None]
+    positions = stack.block[:, None] + stack.local[order[np.where(real, begin[:, None] + j, 0)]]
+    sources = j * len(places) + column[:, None]
+    walk = _WindowGroups(identity, diag[:, places], offd[:, places], mate, positions[real], sources[real])
+    for table in vars(walk).values():
         table.setflags(write=False)  # cached: every call shares them
-    return rows
-
-
-class _WindowWalk:
-    """One window's classes laid out for one fourier_naive call.
-
-    Entry [j, r] of the layout is the matrix entry between the tableau at
-    place r of the class order and the j-th tableau of its class, so a
-    tableau and its partner have the same j; j past the class's size pads
-    the class to the largest one and stays zero. A letter then scales and
-    mixes whole columns r, as `yor.apply_generator` does with rows; a
-    long last axis keeps numpy's loops long. `positions` gives each
-    entry's flat index in the blocks, the padding the slot past them, and
-    diag, offd and mate hold rho(s_k)'s row data in the class order, for
-    k = lo..hi."""
-
-    def __init__(self, n: int, lo: int, hi: int):
-        stack = _irrep_rows(n)
-        order, where, begin, size = _window_rows(n, lo, hi)
-        member = begin + np.arange(size.max())[:, None]
-        real = member < begin + size
-        self.positions = np.where(real, stack.block[order]
-                                  + stack.local[order[np.where(real, member, 0)]],
-                                  stack.entries).ravel()
-        # bool: the first letter's float multiply reads it as exactly 1.0 and 0.0
-        self.identity = member == np.arange(len(order))
-        letters = slice(lo - 1, hi)
-        self.diag = stack.diag[letters][:, order]
-        self.offd = stack.offd[letters][:, order]
-        self.mate = where[stack.partner[letters][:, order]]
+    return walk
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,7 +527,9 @@ def convolution_theorem_check(f: AlgebraElement, g: AlgebraElement) -> float:
 
 
 def dense_table(f: AlgebraElement) -> np.ndarray:
-    """The element as a dense lex-ordered table of n! coefficients."""
+    """The element as a dense lex-ordered table of n! coefficients; n past
+    DEFAULT_FACTORIAL_CAP is refused before S_n is enumerated."""
+    check_factorial(f.n, DEFAULT_FACTORIAL_CAP)
     perms = list(enumerate_sn(f.n))
     index = {p: j for j, p in enumerate(perms)}
     out = np.zeros(len(perms), dtype=complex)

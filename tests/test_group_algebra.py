@@ -36,7 +36,7 @@ from snsim.permutation import (
     parse_permutation,
     transposition,
 )
-from snsim.yor import _word_matrix, dimension, tableaux, yor
+from snsim.yor import _word_matrix, dimension, tableaux, yor, yor_generator
 from snsim.young import Partition, enumerate_partitions
 
 
@@ -300,6 +300,77 @@ def test_window_classes_are_the_tableaux_that_agree_outside_the_window(n):
                 members = order[begin[place]:begin[place] + size[place]] - row
                 assert list(members) == [j for j in range(dim) if cls[j] == cls[i]]
             row += dim
+
+
+def window_class_groups(n, lo, hi):
+    """The classes of window [lo, hi] as (shape, tableau indices) pairs,
+    grouped as `fourier_naive` walks them: two classes share a group when
+    their first member's diagonal entry comes from the same entry of the
+    walked layout."""
+    stack = group_algebra._irrep_rows(n)
+    order, _, begin, size = group_algebra._window_rows(n, lo, hi)
+    walk = group_algebra._window_groups(n, lo, hi)
+    source = np.full(stack.entries, -1)
+    source[walk.positions] = walk.sources
+    shape_of = np.repeat(np.arange(len(stack.shapes)), stack.dims)
+    first_row = np.cumsum(stack.dims) - stack.dims
+    groups = {}
+    for place in np.flatnonzero(begin == np.arange(len(order))):
+        rows = order[place:place + size[place]]
+        s = shape_of[rows[0]]
+        key = source[stack.block[rows[0]] + stack.local[rows[0]]]
+        groups.setdefault(key, []).append((stack.shapes[s], rows - first_row[s]))
+    return list(groups.values())
+
+
+def windows(n):
+    """Every window [lo, hi] of S_n's letters, and the empty one."""
+    return [(1, 0), *((a, b) for a in range(1, n) for b in range(a, n))]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_window_groups_share_their_blocks_of_yor(n):
+    # every class of a group has, member by member, the same block of
+    # yor(s, p) as the group's first class, bit for bit, for each p whose
+    # word lies in the window: at n <= 6 every p, at n = 7 a seeded sample
+    perms = list(enumerate_sn(n))
+    if n == 7:
+        rng = np.random.default_rng(77)
+        perms = [perms[int(i)] for i in rng.choice(len(perms), size=300, replace=False)]
+    mats = {}
+    for lo, hi in windows(n):
+        shared = [g for g in window_class_groups(n, lo, hi) if len(g) > 1]
+        for p in (p for p in perms if all(lo <= k <= hi for k in adjacent_word(p))):
+            for (s0, rows0), *others in shared:
+                if (s0, p) not in mats:
+                    mats[s0, p] = yor(s0, p)
+                first = mats[s0, p][np.ix_(rows0, rows0)].tobytes()
+                for s, rows in others:
+                    if (s, p) not in mats:
+                        mats[s, p] = yor(s, p)
+                    assert mats[s, p][np.ix_(rows, rows)].tobytes() == first, (lo, hi, p, s, rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_window_groups_differ_in_their_tables(n):
+    # the groups are as coarse as the tables allow: the first classes of
+    # two groups differ in size or in a block of some rho(s_k), k in lo..hi
+    for lo, hi in windows(n):
+        tables = set()
+        groups = window_class_groups(n, lo, hi)
+        for (s, rows), *_ in groups:
+            tables.add((len(rows), *(yor_generator(s, k)[np.ix_(rows, rows)].tobytes()
+                                     for k in range(lo, hi + 1))))
+        assert len(tables) == len(groups), (lo, hi)
+
+
+def test_dense_table_checks_the_cap_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("S_n enumerated before the factorial cap was checked")
+
+    monkeypatch.setattr(group_algebra, "enumerate_sn", refuse)
+    with pytest.raises(ResourceLimitError, match=r"S_9"):
+        dense_table(delta(identity(9)))
 
 
 def test_max_abs_diff_names_a_missing_shape():
