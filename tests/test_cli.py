@@ -500,6 +500,36 @@ def test_fft_checks_the_cap_before_any_table(tmp_path, f_path, capsys, no_factor
     assert capsys.readouterr().out == ""
 
 
+def test_fft_past_the_default_cap_runs_both_transforms(tmp_path, monkeypatch, capsys):
+    # --cap-factorial raises the cap: with the default lowered to 4, a
+    # group_algebra function that read the default instead of the flag
+    # would refuse n = 5
+    f = algebra_element(5, {transposition(5, 1, 2): 0.5, transposition(5, 2, 5): 0.25j})
+    element = tmp_path / "f5.json"
+    element.write_text(json.dumps(element_to_json_dict(f)))
+    table = tmp_path / "t5.json"
+    table.write_text(json.dumps([[v.real, v.imag] for v in group_algebra.dense_table(f)]))
+    argvs = [["fft", "--f", str(element)], ["fft", "--table", str(table), "--n", "5"]]
+    want = []
+    for argv in argvs:
+        assert main(argv) == 0
+        want.append({k: v for k, v in json.loads(capsys.readouterr().out).items()
+                     if k != "wall_time"})
+
+    caps = []
+    for name in ("fourier_fft", "fourier_naive"):
+        def spy(*args, cap, transform=getattr(cli, name), name=name):
+            caps.append((name, cap))
+            return transform(*args, cap=cap)
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(group_algebra, "DEFAULT_FACTORIAL_CAP", 4)
+    for argv, doc in zip(argvs, want):
+        assert main(argv + ["--cap-factorial", "5"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert {k: v for k, v in got.items() if k != "wall_time"} == doc
+    assert caps == [("fourier_fft", 5), ("fourier_naive", 5)] * 2
+
+
 def test_bench_checks_the_cap_before_any_draw(capsys, no_factorial_builds):
     assert main(["bench", "--n-range", "11:11"]) == 3
     assert main(["bench", "--n-range", "4:9"]) == 3

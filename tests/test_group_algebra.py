@@ -364,13 +364,17 @@ def test_window_groups_differ_in_their_tables(n):
         assert len(tables) == len(groups), (lo, hi)
 
 
-def test_dense_table_checks_the_cap_before_enumerating(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("S_n enumerated before the factorial cap was checked")
-
-    monkeypatch.setattr(group_algebra, "enumerate_sn", refuse)
-    with pytest.raises(ResourceLimitError, match=r"S_9"):
-        dense_table(delta(identity(9)))
+def test_window_groups_cache_is_bounded_by_the_default_cap():
+    # all 29 windows of S_8 fit the process-wide cache in 2.4 MB; past the
+    # default cap a call keeps its groups to itself
+    held = sum(table.nbytes for window in windows(8)
+               for table in vars(group_algebra._window_groups(8, *window)).values())
+    assert held == 2_395_027
+    cached = group_algebra._window_groups.cache_info().currsize
+    f = algebra_element(9, {transposition(9, 1, 2): 0.5, parse_permutation("(2 4 3)", n=9): 0.25j,
+                            parse_permutation("(2 3 4)", n=9): -0.25j})
+    assert_blocks_bit_equal(fourier_naive(f, cap=9), dense_walk_fourier(f)[0])
+    assert group_algebra._window_groups.cache_info().currsize == cached
 
 
 def test_max_abs_diff_names_a_missing_shape():
