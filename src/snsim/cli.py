@@ -203,10 +203,10 @@ def cmd_fft(args) -> int:
         f = _load_element(args.f)
         check_factorial(f.n, cap)
     else:
-        with open(args.table, encoding="utf-8") as fh:
-            values = json.load(fh)
         if args.n is None:
             raise ValueError("--table needs --n")
+        with open(args.table, encoding="utf-8") as fh:
+            values = json.load(fh)
         check_factorial(args.n, cap)
         f = _element_from_table(args.n, values)
 

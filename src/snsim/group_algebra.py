@@ -61,7 +61,6 @@ __all__ = [
     "add",
     "scale",
     "convolve",
-    "left_translate",
     "FourierCoefficients",
     "check_factorial",
     "fourier_naive",
@@ -122,10 +121,11 @@ class AlgebraElement:
         return max((span(p) for p, _ in self.terms), default=0)
 
     def is_hermitian(self) -> bool:
-        """f(p^-1) = conj f(p) for every p, to 1e-12."""
+        """f(p^-1) = conj f(p) for every p, to 1e-12; a NaN or infinite
+        coefficient fails the test."""
         table = {p: c for p, c in self.terms}
         for p, c in self.terms:
-            if abs(table.get(p.inverse(), 0j) - c.conjugate()) > 1e-12:
+            if not abs(table.get(p.inverse(), 0j) - c.conjugate()) <= 1e-12:
                 return False
         return True
 
@@ -219,13 +219,6 @@ def _complex_products(a, b) -> np.ndarray:
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
-
-
-def left_translate(eta: Permutation, f: AlgebraElement) -> AlgebraElement:
-    """(L_eta f)(s) = f(eta^-1 s): relabels the support, keeps coefficients."""
-    if eta.n != f.n:
-        raise SizeMismatchError(f"translating an S_{f.n} element by S_{eta.n}")
-    return algebra_element(f.n, {eta * p: c for p, c in f.terms})
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ __all__ = [
     "LcuSegment",
     "GateReport",
     "plan",
-    "closed_form_segments",
     "closed_form_swap_gates",
     "closed_form_taylor_order",
     "build_segment",
@@ -182,11 +181,6 @@ def closed_form_taylor_order(epsilon_tilde: float) -> int:
     """ceil(log(1/e~) / loglog(1/e~)), the a-priori truncation order."""
     big_l = max(math.log(1.0 / epsilon_tilde), math.e)
     return math.ceil(big_l / max(math.log(big_l), 1.0))
-
-
-def closed_form_segments(t: float, c_max: float, k: int, n: int) -> int:
-    """ceil(t C k n^k), the a-priori segment count (1 for k = 0)."""
-    return math.ceil(t * c_max * k * n**k) if k else 1
 
 
 def closed_form_swap_gates(t: float, c_max: float, k: int, n: int, epsilon: float) -> float:

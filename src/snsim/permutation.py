@@ -29,19 +29,15 @@ __all__ = [
     "from_cycles",
     "compose",
     "cycle_decomposition",
-    "cycle_type",
     "support",
     "locality",
     "span",
     "transposition_decomposition",
     "adjacent_word",
-    "from_adjacent_word",
     "derangement_count",
-    "count_k_local",
     "enumerate_sn",
     "parse_permutation",
     "format_cycles",
-    "format_one_line",
 ]
 
 
@@ -136,13 +132,6 @@ def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
     return cycles
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle lengths including fixed points, sorted descending."""
-    lengths = sorted((len(c) for c in cycle_decomposition(p)), reverse=True)
-    lengths += [1] * (p.n - sum(lengths))
-    return tuple(lengths)
-
-
 def support(p: Permutation) -> tuple[int, ...]:
     return tuple(i for i in range(1, p.n + 1) if p(i) != i)
 
@@ -193,14 +182,6 @@ def adjacent_word(p: Permutation) -> list[int]:
     return word
 
 
-def from_adjacent_word(n: int, word: Iterable[int]) -> Permutation:
-    """Multiply out a word of adjacent-transposition indices."""
-    p = identity(n)
-    for k in word:
-        p = compose(p, transposition(n, k, k + 1))
-    return p
-
-
 def _subfactorial(m: int) -> int:
     # !m via !m = (m-1)(!(m-1) + !(m-2)), exact integers
     a, b = 1, 0  # !0, !1
@@ -220,15 +201,6 @@ def derangement_count(n: int, l: int) -> int:
     if not 0 <= l <= n:
         raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
     return math.comb(n, l) * _subfactorial(l)
-
-
-def count_k_local(n: int, k: int) -> int:
-    """Number of non-identity permutations in S_n moving at most k points."""
-    if k < 2:
-        return 0
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
-    return sum(derangement_count(n, l) for l in range(2, k + 1))
 
 
 def enumerate_sn(n: int) -> Iterator[Permutation]:
@@ -275,7 +247,3 @@ def format_cycles(p: Permutation) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in cycles)
-
-
-def format_one_line(p: Permutation) -> str:
-    return "[" + ",".join(map(str, p.images)) + "]"

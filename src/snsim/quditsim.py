@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DEFAULT_DENSE_CAP, ResourceLimitError, SizeMismatchError
-from .permutation import Permutation, adjacent_word, transposition
+from .permutation import Permutation, adjacent_word
 from .young import (
     Partition,
     StandardTableau,
@@ -69,8 +69,6 @@ __all__ = [
     "apply_permutation",
     "permutation_matrix",
     "swap_network",
-    "replay_swap_network",
-    "apply_local_unitary_everywhere",
     "young_basis",
     "young_vectors",
     "check_young_size",
@@ -179,25 +177,6 @@ def swap_network(p: Permutation) -> list[int]:
     so the count is at most span*(span-1)/2.
     """
     return list(reversed(adjacent_word(p)))
-
-
-def replay_swap_network(s: Statevector, gates: list[int]) -> Statevector:
-    for i in gates:
-        s = apply_permutation(s, transposition(s.n, i, i + 1))
-    return s
-
-
-def apply_local_unitary_everywhere(s: Statevector, u: np.ndarray) -> Statevector:
-    """u tensored over every site; u must be d x d unitary (tol 1e-12)."""
-    d, n = s.d, s.n
-    if u.shape != (d, d):
-        raise SizeMismatchError(f"local operator shape {u.shape} != ({d}, {d})")
-    if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-12:
-        raise ValueError("local operator is not unitary to 1e-12")
-    amps = s.amplitudes.reshape((d,) * n)
-    for q in range(n):
-        amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [q])), 0, q)
-    return Statevector(d, n, np.ascontiguousarray(amps).reshape(-1))
 
 
 # ---------------------------------------------------------------------------

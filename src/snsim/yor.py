@@ -28,9 +28,7 @@ __all__ = [
     "dimension",
     "generator_tables",
     "apply_generator",
-    "yor_generator",
     "yor",
-    "character",
 ]
 
 
@@ -75,13 +73,6 @@ def apply_generator(shape: Partition, k: int, mat: np.ndarray) -> np.ndarray:
     return diag[:, None] * mat + offd[:, None] * mat[partner]
 
 
-def yor_generator(shape: Partition, k: int) -> np.ndarray:
-    """Dense matrix of the adjacent transposition s_k."""
-    if not 1 <= k <= shape.n - 1:
-        raise ValueError(f"k={k} out of range for n={shape.n}")
-    return apply_generator(shape, k, np.eye(dimension(shape)))
-
-
 def _word_matrix(shape: Partition, word) -> np.ndarray:
     """Dense matrix of the adjacent-transposition word, rightmost letter
     applied first; cost is 2*dim^2 multiplies per letter."""
@@ -97,7 +88,3 @@ def yor(shape: Partition, p: Permutation) -> np.ndarray:
     if p.n != shape.n:
         raise SizeMismatchError(f"permutation on {p.n} points vs shape of {shape.n}")
     return _word_matrix(shape, adjacent_word(p))
-
-
-def character(shape: Partition, p: Permutation) -> float:
-    return float(np.trace(yor(shape, p)))

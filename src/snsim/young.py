@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "Partition",

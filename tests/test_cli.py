@@ -311,6 +311,17 @@ def test_matelem_non_finite_t_is_usage_error(f_path, capsys, t):
     assert capsys.readouterr().out == ""
 
 
+def test_matelem_non_finite_coefficient_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 4, "terms": [{"perm": "(1 2)", "re": "nan", "im": 0.0}]}')
+    for method in ("exact", "lcu-swap", "lcu-pauli"):
+        assert main(["matelem", "--f", str(path), "--u", "3+1:0:0", "--v", "3+1:1:0",
+                     "--t", "1.0", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: element is not Hermitian\n"
+
+
 def test_json_text_refuses_non_finite_floats():
     for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
         with pytest.raises(ValueError):
@@ -417,6 +428,22 @@ def test_transforms_over_s0_are_usage_errors(tmp_path, capsys):
     assert main(["bench", "--n-range", "0:1"]) == 2
     assert main(["fft", "--table", str(table), "--n", "0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--n-range", "x"], "bad range 'x', expected like 4:7"),
+    (["bench", "--n-range", "7:4"], "empty range '7:4'"),
+    # --n is checked before the table file is opened, so a missing file is not reached
+    (["fft", "--table", "missing.json"], "--table needs --n"),
+    (["fft", "--table", "t.json", "--n", "3"], "table has 3 entries, expected 3!"),
+])
+def test_usage_errors_name_their_fault(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text("[1.0, 2.0, 3.0]")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 MALFORMED_TABLES = {"one-entry-rows": "[[1], [2]]", "objects": '[{"a": 1}, {"a": 2}]',

@@ -22,7 +22,6 @@ from snsim.group_algebra import (
     fourier_fft,
     fourier_inverse,
     fourier_naive,
-    left_translate,
     pi_tilde_dense,
     random_hermitian_k_local,
     scale,
@@ -36,7 +35,7 @@ from snsim.permutation import (
     parse_permutation,
     transposition,
 )
-from snsim.yor import _word_matrix, dimension, tableaux, yor, yor_generator
+from snsim.yor import _word_matrix, dimension, tableaux, yor
 from snsim.young import Partition, enumerate_partitions
 
 
@@ -206,7 +205,9 @@ def test_pi_tilde_homomorphism():
 def test_left_translate_is_delta_convolution():
     f = random_element(4, 9, sparse=6)
     eta = parse_permutation("(1 3 4)", n=4)
-    assert left_translate(eta, f).terms == convolve(delta(eta), f).terms
+    # (delta_eta * f)(s) = f(eta^-1 s): the support relabelled, the coefficients kept
+    relabelled = algebra_element(4, {eta * p: c for p, c in f.terms})
+    assert convolve(delta(eta), f).terms == relabelled.terms
 
 
 def test_fourier_of_delta_e_is_identity_blocks():
@@ -359,8 +360,9 @@ def test_window_groups_differ_in_their_tables(n):
         tables = set()
         groups = window_class_groups(n, lo, hi)
         for (s, rows), *_ in groups:
-            tables.add((len(rows), *(yor_generator(s, k)[np.ix_(rows, rows)].tobytes()
-                                     for k in range(lo, hi + 1))))
+            blocks = (yor(s, transposition(n, k, k + 1))[np.ix_(rows, rows)].tobytes()
+                      for k in range(lo, hi + 1))
+            tables.add((len(rows), *blocks))
         assert len(tables) == len(groups), (lo, hi)
 
 
@@ -410,7 +412,7 @@ def test_left_translation_in_fourier_space():
 
     f = random_element(4, 41, sparse=6)
     eta = parse_permutation("(2 4)", n=4)
-    sh = fourier_naive(left_translate(eta, f))
+    sh = fourier_naive(convolve(delta(eta), f))
     fh = fourier_naive(f)
     for s in fh.blocks:
         assert np.max(np.abs(sh.blocks[s] - yor(s, eta) @ fh.blocks[s])) < 1e-11

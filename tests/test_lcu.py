@@ -19,7 +19,6 @@ from snsim.group_algebra import (
 from snsim.lcu import (
     LN2,
     build_segment,
-    closed_form_segments,
     closed_form_swap_gates,
     closed_form_taylor_order,
     gate_count_report,
@@ -29,7 +28,14 @@ from snsim.lcu import (
 )
 from snsim.pauli_expand import matrix_element_pauli
 from snsim.permutation import identity, parse_permutation, transposition
-from snsim.quditsim import Statevector, basis_state, exact_matrix_element, young_basis
+from snsim.quditsim import (
+    Statevector,
+    basis_state,
+    exact_matrix_element,
+    irrep_matrix_element,
+    young_basis,
+)
+from snsim.young import Partition
 
 
 def heisenberg_like(n, scale_to=None):
@@ -97,7 +103,6 @@ def test_plan_invariants():
         partial = math.fsum(LN2**m / math.factorial(m) for m in range(pl.K + 1))
         assert abs(pl.pad - (2.0 - partial)) < 1e-12
         assert 0.0 <= pl.pad < 1.0
-        assert closed_form_segments(t, f.max_coeff, f.locality, f.n) >= pl.M
         assert pl.closed_form_K == closed_form_taylor_order(pl.epsilon_tilde)
 
 
@@ -114,6 +119,27 @@ def test_plan_rejections():
     skew = algebra_element(4, {parse_permutation("(1 2 3)", n=4): 1.0})
     with pytest.raises(ValueError):
         plan(skew, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+def test_non_finite_coefficient_is_not_hermitian(coeff):
+    # c - conj(c) is NaN here, and NaN fails every comparison, so the check
+    # must refuse on a failed <= rather than on a passed >
+    f = algebra_element(4, {transposition(4, 1, 2): coeff})
+    u, v = basis_state(2, 4, [0, 1, 1, 0]), basis_state(2, 4, [1, 0, 1, 0])
+    lam = Partition((3, 1))
+    routes = [
+        lambda: matrix_element(u, v, f, 1.0, 1e-3),
+        lambda: matrix_element(u, v, f, 1.0, 1e-3, explicit=True),
+        lambda: plan(f, 1.0, 1e-3),
+        lambda: matrix_element_pauli(u, v, f, 1.0, 1e-3),
+        lambda: exact_matrix_element(u, v, f, 1.0),
+        lambda: irrep_matrix_element((lam, 0, 0), (lam, 1, 0), f, 1.0),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            route()
 
 
 def test_closed_form_shapes():
@@ -161,16 +187,16 @@ def test_segment_words_replay_their_permutations():
     f = random_hermitian_k_local(5, 3, 4, seed=3)
     pl = plan(f, 0.5, 1e-2)
     seg = build_segment(f, pl.delta_t, min(pl.K, 3), shift=pl.shift)
-    from snsim.quditsim import permutation_matrix, replay_swap_network
+    from snsim.quditsim import apply_permutation, permutation_matrix
 
     rng = np.random.default_rng(0)
     amps = rng.standard_normal(2**5) + 1j * rng.standard_normal(2**5)
     state = Statevector(2, 5, amps)
     for term in seg.terms[:40]:
-        assert np.array_equal(
-            replay_swap_network(state, list(term.word)).amplitudes,
-            permutation_matrix(term.perm, 2) @ amps,
-        )
+        replayed = state
+        for i in term.word:
+            replayed = apply_permutation(replayed, transposition(5, i, i + 1))
+        assert np.array_equal(replayed.amplitudes, permutation_matrix(term.perm, 2) @ amps)
 
 
 def test_run_segment_equals_block_formula():

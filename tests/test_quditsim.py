@@ -22,14 +22,12 @@ from snsim.permutation import (
 from snsim import quditsim
 from snsim.quditsim import (
     Statevector,
-    apply_local_unitary_everywhere,
     apply_permutation,
     basis_state,
     exact_matrix_element,
     irrep_matrix_element,
     permutation_index_map,
     permutation_matrix,
-    replay_swap_network,
     swap_network,
     young_basis,
     young_vectors,
@@ -99,11 +97,10 @@ def test_swap_network_replays_to_same_action():
         amps = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
         state = Statevector(d, n, amps)
         for p in enumerate_sn(n):
-            word = swap_network(p)
-            assert np.array_equal(
-                replay_swap_network(state, word).amplitudes,
-                apply_permutation(state, p).amplitudes,
-            )
+            replayed = state
+            for i in swap_network(p):
+                replayed = apply_permutation(replayed, transposition(n, i, i + 1))
+            assert np.array_equal(replayed.amplitudes, apply_permutation(state, p).amplitudes)
 
 
 def test_swap_network_stays_inside_span_and_is_short():
@@ -115,24 +112,6 @@ def test_swap_network_stays_inside_span_and_is_short():
             lo = min(i for i in range(1, 7) if p(i) != i)
             hi = max(i for i in range(1, 7) if p(i) != i)
             assert all(lo <= g <= hi - 1 for g in word)
-
-
-def test_apply_local_unitary_matches_kron_oracle():
-    rng = np.random.default_rng(21)
-    d, n = 2, 3
-    # a random unitary from the QR decomposition
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    u, _ = np.linalg.qr(m)
-    amps = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
-    state = Statevector(d, n, amps)
-    dense = np.eye(1)
-    for _ in range(n):
-        dense = np.kron(dense, u)
-    assert np.allclose(
-        apply_local_unitary_everywhere(state, u).amplitudes, dense @ amps, atol=1e-12
-    )
-    with pytest.raises(ValueError):
-        apply_local_unitary_everywhere(state, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_statevector_validation_and_inner():

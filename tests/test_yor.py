@@ -10,7 +10,16 @@ import pytest
 from snsim.errors import SizeMismatchError
 from snsim.permutation import enumerate_sn, identity, parse_permutation, transposition
 from snsim.young import Partition, enumerate_partitions, enumerate_standard_tableaux, hook_length_dimension
-from snsim.yor import apply_generator, character, dimension, yor, yor_generator
+from snsim.yor import apply_generator, dimension, yor
+
+
+def generator(shape, k):
+    """Dense rho(s_k), through the adjacent word [k]."""
+    return yor(shape, transposition(shape.n, k, k + 1))
+
+
+def character(shape, p):
+    return float(np.trace(yor(shape, p)))
 
 
 def yor_entry_oracle(shape, k):
@@ -32,7 +41,7 @@ def test_generators_match_content_oracle():
     for n in (2, 3, 4, 5):
         for shape in enumerate_partitions(n):
             for k in range(1, n):
-                assert np.allclose(yor_generator(shape, k), yor_entry_oracle(shape, k), atol=1e-14)
+                assert np.allclose(generator(shape, k), yor_entry_oracle(shape, k), atol=1e-14)
 
 
 def test_generator_involution_and_orthogonality():
@@ -40,14 +49,14 @@ def test_generator_involution_and_orthogonality():
         for shape in enumerate_partitions(n):
             d = dimension(shape)
             for k in range(1, n):
-                g = yor_generator(shape, k)
+                g = generator(shape, k)
                 assert np.allclose(g @ g, np.eye(d), atol=1e-13)
                 assert np.allclose(g, g.T, atol=1e-14)
 
 
 def test_braid_and_commutation_relations():
     for shape in enumerate_partitions(5):
-        gens = [yor_generator(shape, k) for k in range(1, 5)]
+        gens = [generator(shape, k) for k in range(1, 5)]
         for k in range(len(gens) - 1):
             a, b = gens[k], gens[k + 1]
             assert np.allclose(a @ b @ a, b @ a @ b, atol=1e-13)
@@ -84,9 +93,10 @@ def test_apply_generator_matches_dense():
     shape = Partition((3, 2))
     mat = np.eye(dimension(shape))
     for k in range(1, 5):
-        assert np.allclose(apply_generator(shape, k, mat), yor_generator(shape, k) @ mat, atol=1e-14)
+        expect = yor_entry_oracle(shape, k) @ mat
+        assert np.allclose(apply_generator(shape, k, mat), expect, atol=1e-14)
     vec = np.arange(1.0, dimension(shape) + 1.0)
-    assert np.allclose(apply_generator(shape, 2, vec), yor_generator(shape, 2) @ vec, atol=1e-14)
+    assert np.allclose(apply_generator(shape, 2, vec), yor_entry_oracle(shape, 2) @ vec, atol=1e-14)
 
 
 def test_character_orthogonality():
@@ -113,7 +123,3 @@ def test_size_mismatch_and_range_errors():
     shape = Partition((2, 1))
     with pytest.raises(SizeMismatchError):
         yor(shape, identity(4))
-    with pytest.raises(ValueError):
-        yor_generator(shape, 3)
-    with pytest.raises(ValueError):
-        yor_generator(shape, 0)
