@@ -8,21 +8,14 @@ factor. Inversion carries the 1/n! instead.
 Two transforms are provided. `fourier_naive` walks the support of a
 sparse element, evaluating each representation matrix through its
 adjacent word; its cost scales with the support size and it serves as
-the correctness oracle. rho(p) of a p that moves only the points of a
-window [a, b] is zero between tableaux that put some point outside the
-window in different cells, and on one such class it depends only on the
-class's generator tables; so the word is applied, for all shapes at
-once, to one class of each group of classes with identical tables, and
-the result is added to each class of the group. `fourier_fft` takes a
-dense table over all of S_n and recurses over the subgroup chain
-S_n > S_{n-1} > ...: the table splits into n cosets by the image of n,
-the sub-transforms embed as block diagonals via the branching rule, and
-the coset representative (i i+1 ... n) is applied one adjacent
-generator at a time, each costing 2 dim^2 multiplies. Both transforms
-report a multiply counter so the factorial growth can be measured
-rather than asserted. The naive transform's counter is the model of a
-dense letter walk, sum over terms and shapes of (2 |word| + 1) dim^2,
-not the multiplies its windowed walk performs.
+the correctness oracle. `yor._rho_sum` walks it for all shapes at once,
+as `yor` says. `fourier_fft` takes a dense table over all of S_n and
+recurses over the subgroup chain S_n > S_{n-1} > ...: the table splits
+into n cosets by the image of n, the sub-transforms embed as block
+diagonals via the branching rule, and the coset representative
+(i i+1 ... n) is applied one adjacent generator at a time, each costing
+2 dim^2 multiplies. Both transforms report a multiply counter so the
+factorial growth can be measured rather than asserted.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from .permutation import (
     Permutation,
     adjacent_word,
     enumerate_sn,
-    identity,
     locality,
     parse_permutation,
     span,
@@ -47,10 +39,10 @@ from .permutation import (
 )
 from .young import Partition, enumerate_partitions, branching_down
 from .yor import (
+    _rho_sum,
     _word_matrix,
     apply_generator as _apply_generator,
     dimension as _yor_dimension,
-    generator_tables,
 )
 from .quditsim import _check_dense, permutation_index_maps
 
@@ -264,185 +256,27 @@ def check_factorial(n: int, cap: int):
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple[Partition, ...]:
+    return tuple(enumerate_partitions(n))
+
+
 def fourier_naive(f: AlgebraElement, cap: int = DEFAULT_FACTORIAL_CAP) -> FourierCoefficients:
-    """fhat(shape) = sum over support of f(p) rho_shape(p).
-
-    rho(p) is zero between tableaux in different classes of the window
-    [min letter, max letter] of p's adjacent word (`_window_rows`), and on
-    one class it depends only on that class's generator tables. So each
-    term's word is applied, rightmost letter first, to one class of each
-    group of classes with identical tables, all shapes at once
-    (`_window_groups`), and the result is added to every class of its
-    group. Every entry takes the float operations of
-    `yor.apply_generator`, and the terms are added in order, so the blocks
-    are bit for bit those of the dense per-term walk sum c rho(p).
-
-    `ops` (`naive_ops` in `snsim fft`) is that dense letter walk's model,
-    sum over terms and shapes of (2 |word| + 1) dim^2, as
-    `test_operation_counters` pins it; it is not the number of multiplies
-    the grouped walk performs.
-    """
+    """fhat(shape) = sum over support of f(p) rho_shape(p), summed for all
+    shapes at once by `yor._rho_sum`, bit for bit the dense walk. `ops`
+    (`naive_ops` in `snsim fft`) is that walk's model, sum over terms and
+    shapes of (2 |word| + 1) dim^2 (`test_operation_counters`), not the
+    multiplies the grouped walk performs."""
     check_factorial(f.n, cap)
-    stack = _irrep_rows(f.n)
-    acc = np.zeros(stack.entries, dtype=complex)  # the blocks laid end to end
-    # past the default cap the call keeps its groups to itself, so the
-    # process-wide cache holds at most the windows of S_8
-    groups = (_window_groups if f.n <= DEFAULT_FACTORIAL_CAP
-              else functools.cache(_window_groups.__wrapped__))
-    ops = 0
-    for p, c in f.terms:
-        word = adjacent_word(p)
-        lo, hi = (min(word), max(word)) if word else (1, 0)
-        walk = groups(f.n, lo, hi)
-        x = walk.identity
-        for k in reversed(word):
-            mate = np.take(x, walk.mate[k - lo], axis=1)
-            x = walk.diag[k - lo] * x
-            x += walk.offd[k - lo] * mate
-        # np.take and np.add.at read the int32 tables nearly as fast as
-        # intp ones, where fancy indexing converts them first
-        np.add.at(acc, walk.positions, (c * x).take(walk.sources))
-        ops += (2 * len(word) + 1) * stack.entries
+    shapes = _shapes(f.n)
+    acc = _rho_sum(shapes, f.terms)
+    ops = sum(2 * len(adjacent_word(p)) + 1 for p, _ in f.terms) * len(acc)
     blocks, lo = {}, 0
-    for s, dim in zip(stack.shapes, stack.dims):
+    for s in shapes:
+        dim = _yor_dimension(s)
         blocks[s] = acc[lo:lo + dim * dim].reshape(dim, dim)
         lo += dim * dim
     return FourierCoefficients(f.n, blocks, ops)
-
-
-@dataclass(frozen=True)
-class _IrrepRows:
-    """The standard tableaux of every shape of n as one list of rows,
-    shapes in `enumerate_partitions` order, with `yor`'s generator tables
-    stacked along it (partners as stack rows). The blocks laid end to end
-    hold entry (i, j) at flat index block[i] + local[j]."""
-
-    shapes: tuple[Partition, ...]
-    dims: tuple[int, ...]
-    entries: int  # sum of dim^2, which is n!
-    diag: np.ndarray  # (n - 1, rows): rho(s_k)[i, i]
-    offd: np.ndarray  # (n - 1, rows): rho(s_k)[i, partner]
-    partner: np.ndarray  # (n - 1, rows)
-    block: np.ndarray  # (rows,)
-    local: np.ndarray  # (rows,)
-
-
-@functools.lru_cache(maxsize=None)
-def _irrep_rows(n: int) -> _IrrepRows:
-    shapes = tuple(enumerate_partitions(n))
-    dims = tuple(_yor_dimension(s) for s in shapes)
-    rows = sum(dims)
-    diag, offd = np.empty((2, n - 1, rows))
-    partner = np.empty((n - 1, rows), dtype=np.intp)
-    block, local = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
-    lo = flat = 0
-    for s, dim in zip(shapes, dims):
-        for k, (d, o, mate) in enumerate(generator_tables(s)):
-            diag[k, lo:lo + dim], offd[k, lo:lo + dim] = d, o
-            partner[k, lo:lo + dim] = mate + lo
-        local[lo:lo + dim] = np.arange(dim)
-        block[lo:lo + dim] = flat + dim * local[lo:lo + dim]
-        lo, flat = lo + dim, flat + dim * dim
-    for table in (diag, offd, partner, block, local):
-        table.setflags(write=False)  # cached: every call shares them
-    return _IrrepRows(shapes, dims, flat, diag, offd, partner, block, local)
-
-
-def _window_rows(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """The classes of the stacked tableaux of n under the letters s_lo..s_hi.
-
-    Two rows share a class when a path of partners under those letters
-    joins them. The letters move only the points lo..hi+1, so rho of a
-    word in them is zero between classes, and a class holds the tableaux
-    that put every other point in the same cell. Returns the rows grouped
-    by class, each class in row order; each row's place in that list; and
-    for each place, the place its class begins at and the class's size."""
-    partners = _irrep_rows(n).partner[lo - 1:hi]
-    label = np.arange(partners.shape[1])
-    while True:
-        before = label
-        for mate in partners:
-            label = np.minimum(label, label[mate])
-        label = label[label]
-        if np.array_equal(label, before):
-            break
-    # label is now the least row of each class, which begins the class
-    order = np.argsort(label, kind="stable")
-    where = np.empty_like(order)
-    where[order] = np.arange(len(order))
-    return order, where, where[label[order]], np.bincount(label, minlength=len(label))[label[order]]
-
-
-@dataclass(frozen=True)
-class _WindowGroups:
-    """One window's classes, grouped by identical tables and laid out for
-    fourier_naive's walk.
-
-    Two classes share a group when they have the same size and, member by
-    member in class order, the same diag, offd and in-class partner place
-    under every letter lo..hi; rho of a word in those letters is then the
-    same block on both, bit for bit. The layout holds the first class of
-    each group: entry [j, r] is the matrix entry between the tableau of
-    column r and the j-th tableau of its class, so a tableau and its
-    partner have the same j, and j past the class's size pads the class to
-    the largest one and stays zero. A letter scales and mixes whole
-    columns, as `yor.apply_generator` does with rows, and a long last axis
-    keeps numpy's loops long. Every real entry of every class of the
-    window has its flat index in the blocks at `positions` and that of its
-    group's entry in the layout at `sources`. The index tables are int32
-    (up to n = 12), which halves them: at n = 8 all 29 windows hold
-    2.4 MB."""
-
-    identity: np.ndarray  # (largest class, columns), bool
-    diag: np.ndarray  # (letters, columns): rho(s_k)'s row data, k = lo..hi
-    offd: np.ndarray  # (letters, columns)
-    mate: np.ndarray  # (letters, columns), int32: the partner's column
-    positions: np.ndarray  # (entries,), int32
-    sources: np.ndarray  # (entries,), int32
-
-
-@functools.lru_cache(maxsize=None)
-def _window_groups(n: int, lo: int, hi: int) -> _WindowGroups:
-    stack = _irrep_rows(n)
-    order, where, begin, size = _window_rows(n, lo, hi)
-    letters = slice(lo - 1, hi)
-    rank = np.arange(len(order)) - begin  # each place's index in its class
-    diag = stack.diag[letters][:, order]
-    offd = stack.offd[letters][:, order]
-    mate = where[stack.partner[letters][:, order]] - begin  # the partner's rank
-    # a class's key: its size, then its members' tables by rank, as bits,
-    # each key one byte string, which sorts faster than rows of fields
-    width = int(size.max())
-    starts = np.flatnonzero(rank == 0)
-    held = np.arange(width) < size[starts, None]
-    tables = np.concatenate([diag.view(np.int64), offd.view(np.int64), mate])
-    keys = tables[:, np.where(held, starts[:, None] + np.arange(width), 0)] * held
-    keys = np.concatenate([size[starts, None], keys.transpose(1, 0, 2).reshape(len(starts), -1)], axis=1)
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    # the layout's columns: the places of each group's first class in turn
-    widths = size[starts[first]]
-    column0 = np.cumsum(widths) - widths
-    places = np.repeat(starts[first] - column0, widths) + np.arange(widths.sum())
-    # bool: the first letter's float multiply reads it as exactly 1.0 and 0.0
-    identity = np.arange(width)[:, None] == rank[places]
-    mate = mate[:, places] + np.repeat(column0, widths)
-    # the real entries (i, order[begin + j]) of each row i in turn, so that
-    # positions ascend, and for each its group's entry [j, column of i]
-    column = (column0[group[np.cumsum(rank == 0) - 1]] + rank)[where]
-    begin, size = begin[where], size[where]
-    j = np.arange(width)
-    real = j < size[:, None]
-    positions = stack.block[:, None] + stack.local[order[np.where(real, begin[:, None] + j, 0)]]
-    sources = j * len(places) + column[:, None]
-    # int32 halves the index tables; n! and the layout's size stay below
-    # 2^31 up to n = 12
-    index = np.int32 if n <= 12 else np.intp
-    walk = _WindowGroups(identity, diag[:, places], offd[:, places], mate.astype(index),
-                         positions[real].astype(index), sources[real].astype(index))
-    for table in vars(walk).values():
-        table.setflags(write=False)  # cached: every call shares them
-    return walk
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,10 +31,9 @@ is block diagonal over the weight sectors of (C^d)^(x n); the oracle
 builds and diagonalizes only the blocks of sectors where both vectors
 have support, never the d^n x d^n operator. A Young-basis vector lies
 in one sector, of dimension at most C(n, n/2) at d = 2.
-`irrep_matrix_element` takes two Young labels and builds no d^n
-vector: by Schur-Weyl duality the element is
-delta_{ww'} [exp(-it rho_lam(f))]_{t,t'} with rho_lam(f) = sum c_p yor(lam, p),
-a dim(lam) x dim(lam) matrix.
+`irrep_matrix_element` takes two Young labels and builds no d^n vector:
+by Schur-Weyl duality the element is delta_{ww'} [exp(-it rho_lam(f))]_{t,t'},
+with rho_lam(f) = sum c_p rho_lam(p) (`yor._rho_sum`) of size dim(lam).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .young import (
     hook_length_dimension,
     weyl_dimension,
 )
-from .yor import dimension, generator_tables, tableaux as _tableaux, yor
+from .yor import _rho_sum, dimension, generator_tables, tableaux as _tableaux
 
 if TYPE_CHECKING:
     from .group_algebra import AlgebraElement
@@ -517,12 +516,12 @@ def irrep_matrix_element(u, v, f: "AlgebraElement", t: float) -> complex:
     block with no d^n vector built.
 
     By Schur-Weyl duality the element is delta_{ww'} [exp(-it rho)]_{t,t'}
-    with rho = sum_p c_p yor(shape, p), solved by `eigh` at dim(shape),
-    and 0j across shapes or weight indices. f must be Hermitian and t
-    finite, as for `exact_matrix_element`. A tableau index outside
-    [0, dim(shape)) or a negative weight index is refused with
-    ValueError; `check_young_label` also checks the weight index against
-    d, which this function is not given.
+    with rho = sum_p c_p rho_shape(p) (`yor._rho_sum`), solved by `eigh`
+    at dim(shape), and 0j across shapes or weight indices. f must be
+    Hermitian and t finite, as for `exact_matrix_element`. A tableau
+    index outside [0, dim(shape)) or a negative weight index is refused
+    with ValueError; `check_young_label` also checks the weight index
+    against d, which this function is not given.
     """
     (lam, ti, wi), (lam_v, tj, wj) = u, v
     if not f.n == lam.n == lam_v.n:
@@ -536,8 +535,6 @@ def irrep_matrix_element(u, v, f: "AlgebraElement", t: float) -> complex:
         raise ValueError(f"need finite t, got {t}")
     if (lam, wi) != (lam_v, wj):
         return 0j
-    rho = np.zeros((dimension(lam),) * 2, dtype=complex)
-    for p, c in f.terms:
-        rho += c * yor(lam, p)
+    rho = _rho_sum((lam,), f.terms).reshape((dimension(lam),) * 2)
     evals, evecs = np.linalg.eigh(rho)
     return complex(evecs[ti] @ (np.exp(-1j * t * evals) * evecs[tj].conj()))

@@ -10,16 +10,29 @@ where r = axial_distance(t, k). When k and k+1 share a row or column
 (|r| = 1) the exchange is not standard and the row has a single entry
 +-1. Every rho(s_k) therefore has at most two nonzeros per row, which
 `apply_generator` exploits: one generator costs 2*dim^2 multiplies.
+
+rho(f) = sum_p c_p rho(p) of a sparse element is summed in one place,
+`_rho_sum`, over a stack of shapes of n at once: every shape for
+`group_algebra.fourier_naive`, one for `quditsim.irrep_matrix_element`.
+rho(p) for a word in the letters s_lo..s_hi is zero between tableaux
+that put some point outside lo..hi+1 in different cells, and on one such
+class depends only on the class's generator tables. So each term's word
+is applied, rightmost letter first, to one class of each group of
+classes with identical tables (`_window_groups`) and added to every class
+of the group. Each entry takes `apply_generator`'s float operations and
+the terms are added in order from zero: bit for bit c_p yor(shape, p)
+summed densely.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeMismatchError
+from .errors import DEFAULT_FACTORIAL_CAP, SizeMismatchError
 from .permutation import Permutation, adjacent_word
 from .young import Partition, enumerate_standard_tableaux
 
@@ -66,8 +79,12 @@ def generator_tables(shape: Partition):
 
 
 def apply_generator(shape: Partition, k: int, mat: np.ndarray) -> np.ndarray:
-    """rho_shape(s_k) @ mat, in 2*dim(shape)*ncols multiplies."""
-    diag, offd, partner = generator_tables(shape)[k - 1]
+    """rho_shape(s_k) @ mat, in 2*dim(shape)*ncols multiplies; k outside
+    1..n-1 is refused with ValueError."""
+    tables = generator_tables(shape)
+    if not 1 <= k <= len(tables):
+        raise ValueError(f"no generator s_{k} of S_{shape.n}")
+    diag, offd, partner = tables[k - 1]
     if mat.ndim == 1:
         return diag * mat + offd * mat[partner]
     return diag[:, None] * mat + offd[:, None] * mat[partner]
@@ -88,3 +105,155 @@ def yor(shape: Partition, p: Permutation) -> np.ndarray:
     if p.n != shape.n:
         raise SizeMismatchError(f"permutation on {p.n} points vs shape of {shape.n}")
     return _word_matrix(shape, adjacent_word(p))
+
+
+@dataclass(frozen=True, eq=False)
+class _IrrepRows:
+    """The standard tableaux of a stack of shapes of n as one list of rows,
+    with their generator tables stacked along it (partners as stack rows);
+    the blocks laid end to end hold entry (i, j) at block[i] + local[j].
+    Hashed by identity: the cached stack keys its window groups."""
+
+    entries: int  # sum of dim^2, which is n! for every shape of n
+    diag: np.ndarray  # (n - 1, rows): rho(s_k)[i, i]
+    offd: np.ndarray  # (n - 1, rows): rho(s_k)[i, partner]
+    partner: np.ndarray  # (n - 1, rows)
+    block: np.ndarray  # (rows,)
+    local: np.ndarray  # (rows,)
+
+
+@functools.lru_cache(maxsize=None)
+def _irrep_rows(shapes: tuple[Partition, ...]) -> _IrrepRows:
+    n = shapes[0].n
+    dims = tuple(dimension(s) for s in shapes)
+    rows = sum(dims)
+    diag, offd = np.empty((2, n - 1, rows))
+    partner = np.empty((n - 1, rows), dtype=np.intp)
+    block, local = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
+    lo = flat = 0
+    for s, dim in zip(shapes, dims):
+        for k, (d, o, mate) in enumerate(generator_tables(s)):
+            diag[k, lo:lo + dim], offd[k, lo:lo + dim] = d, o
+            partner[k, lo:lo + dim] = mate + lo
+        local[lo:lo + dim] = np.arange(dim)
+        block[lo:lo + dim] = flat + dim * local[lo:lo + dim]
+        lo, flat = lo + dim, flat + dim * dim
+    for table in (diag, offd, partner, block, local):
+        table.setflags(write=False)  # cached: every call shares them
+    return _IrrepRows(flat, diag, offd, partner, block, local)
+
+
+def _window_rows(stack: _IrrepRows, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The classes of the stacked tableaux under the letters s_lo..s_hi.
+
+    Two rows share a class when a path of partners under those letters
+    joins them. The letters move only the points lo..hi+1, so rho of a
+    word in them is zero between classes, and a class holds the tableaux
+    that put every other point in the same cell. Returns the rows grouped
+    by class, each class in row order; each row's place in that list; and
+    for each place, the place its class begins at and the class's size."""
+    partners = stack.partner[lo - 1:hi]
+    label = np.arange(partners.shape[1])
+    while True:
+        before = label
+        for mate in partners:
+            label = np.minimum(label, label[mate])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    # label is now the least row of each class, which begins the class
+    order = np.argsort(label, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    return order, where, where[label[order]], np.bincount(label, minlength=len(label))[label[order]]
+
+
+@dataclass(frozen=True)
+class _WindowGroups:
+    """One window's classes, grouped by identical tables and laid out for
+    `_rho_sum`'s walk. Two classes share a group when they have the same
+    size and, member by member in class order, the same diag, offd and
+    in-class partner place under every letter lo..hi; rho of a word in
+    those letters is then the same block on both, bit for bit. The layout
+    holds the first class of each group: entry [j, r] is the matrix entry
+    between the tableau of column r and the j-th tableau of its class, so a
+    tableau and its partner have the same j, and j past the class's size
+    pads the class to the largest one and stays zero. A letter scales and
+    mixes whole columns, as `apply_generator` does rows; a long last axis
+    keeps numpy's loops long. Every real entry of every class of the window
+    has its flat index in the blocks at `positions`, its group's entry in
+    the layout at `sources`. The index tables are int32 while they index
+    below 2^31, which halves them: at n = 8 all 29 windows of every shape
+    hold 2.4 MB."""
+
+    identity: np.ndarray  # (largest class, columns), bool
+    diag: np.ndarray  # (letters, columns): rho(s_k)'s row data, k = lo..hi
+    offd: np.ndarray  # (letters, columns)
+    mate: np.ndarray  # (letters, columns): the partner's column
+    positions: np.ndarray  # (entries,)
+    sources: np.ndarray  # (entries,)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_groups(stack: _IrrepRows, lo: int, hi: int) -> _WindowGroups:
+    order, where, begin, size = _window_rows(stack, lo, hi)
+    letters = slice(lo - 1, hi)
+    rank = np.arange(len(order)) - begin  # each place's index in its class
+    diag = stack.diag[letters][:, order]
+    offd = stack.offd[letters][:, order]
+    mate = where[stack.partner[letters][:, order]] - begin  # the partner's rank
+    # a class's key: its size, then its members' tables by rank, as bits,
+    # each key one byte string, which sorts faster than rows of fields
+    width = int(size.max())
+    starts = np.flatnonzero(rank == 0)
+    held = np.arange(width) < size[starts, None]
+    tables = np.concatenate([diag.view(np.int64), offd.view(np.int64), mate])
+    keys = tables[:, np.where(held, starts[:, None] + np.arange(width), 0)] * held
+    keys = np.concatenate([size[starts, None], keys.transpose(1, 0, 2).reshape(len(starts), -1)], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    # the layout's columns: the places of each group's first class in turn
+    widths = size[starts[first]]
+    column0 = np.cumsum(widths) - widths
+    places = np.repeat(starts[first] - column0, widths) + np.arange(widths.sum())
+    # bool: the first letter's float multiply reads it as exactly 1.0 and 0.0
+    identity = np.arange(width)[:, None] == rank[places]
+    mate = mate[:, places] + np.repeat(column0, widths)
+    # the real entries (i, order[begin + j]) of each row i in turn, so that
+    # positions ascend, and for each its group's entry [j, column of i]
+    column = (column0[group[np.cumsum(rank == 0) - 1]] + rank)[where]
+    begin, size = begin[where], size[where]
+    j = np.arange(width)
+    real = j < size[:, None]
+    positions = stack.block[:, None] + stack.local[order[np.where(real, begin[:, None] + j, 0)]]
+    sources = j * len(places) + column[:, None]
+    index = np.int32 if max(stack.entries, identity.size) < 2**31 else np.intp
+    walk = _WindowGroups(identity, diag[:, places], offd[:, places], mate.astype(index),
+                         positions[real].astype(index), sources[real].astype(index))
+    for table in vars(walk).values():
+        table.setflags(write=False)  # cached: every call shares them
+    return walk
+
+
+def _rho_sum(shapes: tuple[Partition, ...], terms) -> np.ndarray:
+    """sum c rho_shape(p) over the (p, c) terms for each shape, the
+    row-major blocks laid end to end. A stack of at most 8! entries (S_n
+    for n <= 8, or one shape of dim <= 200) keeps its window groups in the
+    process-wide cache, any other for this call only."""
+    stack = _irrep_rows(shapes)
+    acc = np.zeros(stack.entries, dtype=complex)
+    groups = (_window_groups if stack.entries <= math.factorial(DEFAULT_FACTORIAL_CAP)
+              else functools.cache(_window_groups.__wrapped__))
+    for p, c in terms:
+        word = adjacent_word(p)
+        lo, hi = (min(word), max(word)) if word else (1, 0)
+        walk = groups(stack, lo, hi)
+        x = walk.identity
+        for k in reversed(word):
+            mate = np.take(x, walk.mate[k - lo], axis=1)
+            x = walk.diag[k - lo] * x
+            x += walk.offd[k - lo] * mate
+        # np.take and np.add.at read int32 tables nearly as fast as intp;
+        # taking before c * leaves one complex copy of the entries, not two
+        np.add.at(acc, walk.positions, c * x.take(walk.sources))
+    return acc

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snsim import group_algebra
+from snsim import group_algebra, yor as yor_module
 from snsim.errors import ResourceLimitError, SizeMismatchError
 from snsim.group_algebra import (
     FourierCoefficients,
@@ -286,15 +286,21 @@ def test_yor_is_zero_outside_the_window_classes(n):
             assert not mat[~keys[s, window]].any(), (s, p)
 
 
+def all_shapes(n):
+    """The cached stack of every shape of n, as `fourier_naive` walks it."""
+    return yor_module._irrep_rows(tuple(enumerate_partitions(n)))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_window_classes_are_the_tableaux_that_agree_outside_the_window(n):
     # the partner paths that fourier_naive walks join exactly the
     # tableaux that put every point outside the window in the same cell
-    stack = group_algebra._irrep_rows(n)
+    stack = all_shapes(n)
     for lo, hi in [(1, 0), *((a, b) for a in range(1, n) for b in range(a, n))]:
-        order, where, begin, size = group_algebra._window_rows(n, lo, hi)
+        order, where, begin, size = yor_module._window_rows(stack, lo, hi)
         row = 0
-        for s, dim in zip(stack.shapes, stack.dims):
+        for s in enumerate_partitions(n):
+            dim = dimension(s)
             cls = cell_classes(s, list(range(lo, hi + 1)))
             for i in range(dim):
                 place = where[row + i]
@@ -308,19 +314,21 @@ def window_class_groups(n, lo, hi):
     grouped as `fourier_naive` walks them: two classes share a group when
     their first member's diagonal entry comes from the same entry of the
     walked layout."""
-    stack = group_algebra._irrep_rows(n)
-    order, _, begin, size = group_algebra._window_rows(n, lo, hi)
-    walk = group_algebra._window_groups(n, lo, hi)
+    stack = all_shapes(n)
+    order, _, begin, size = yor_module._window_rows(stack, lo, hi)
+    walk = yor_module._window_groups(stack, lo, hi)
     source = np.full(stack.entries, -1)
     source[walk.positions] = walk.sources
-    shape_of = np.repeat(np.arange(len(stack.shapes)), stack.dims)
-    first_row = np.cumsum(stack.dims) - stack.dims
+    shapes = enumerate_partitions(n)
+    dims = [dimension(s) for s in shapes]
+    shape_of = np.repeat(np.arange(len(shapes)), dims)
+    first_row = np.cumsum(dims) - dims
     groups = {}
     for place in np.flatnonzero(begin == np.arange(len(order))):
         rows = order[place:place + size[place]]
         s = shape_of[rows[0]]
         key = source[stack.block[rows[0]] + stack.local[rows[0]]]
-        groups.setdefault(key, []).append((stack.shapes[s], rows - first_row[s]))
+        groups.setdefault(key, []).append((shapes[s], rows - first_row[s]))
     return list(groups.values())
 
 
@@ -367,16 +375,27 @@ def test_window_groups_differ_in_their_tables(n):
 
 
 def test_window_groups_cache_is_bounded_by_the_default_cap():
-    # all 29 windows of S_8 fit the process-wide cache in 2.4 MB; past the
-    # default cap a call keeps its groups to itself
+    # a stack of at most 8! entries shares its window groups: all 29
+    # windows of S_8 in 2.4 MB, and one shape of dim <= 200; any other
+    # stack, S_9 through fourier_naive(f, cap=9) or one shape of dim
+    # > 200, keeps its groups to itself
+    cache = yor_module._window_groups
     held = sum(table.nbytes for window in windows(8)
-               for table in vars(group_algebra._window_groups(8, *window)).values())
+               for table in vars(cache(all_shapes(8), *window)).values())
     assert held == 2_395_027
-    cached = group_algebra._window_groups.cache_info().currsize
     f = algebra_element(9, {transposition(9, 1, 2): 0.5, parse_permutation("(2 4 3)", n=9): 0.25j,
                             parse_permutation("(2 3 4)", n=9): -0.25j})
+    cached = cache.cache_info().currsize
     assert_blocks_bit_equal(fourier_naive(f, cap=9), dense_walk_fourier(f)[0])
-    assert group_algebra._window_groups.cache_info().currsize == cached
+    assert cache.cache_info().currsize == cached
+    for shape, shared in ((Partition((7, 3)), True), (Partition((9, 4)), False)):
+        assert (dimension(shape) <= 200) == shared
+        n = shape.n
+        g = algebra_element(n, {transposition(n, 2, n - 1): 0.5, transposition(n, 4, 5): -0.25})
+        before = cache.cache_info()
+        yor_module._rho_sum((shape,), g.terms)
+        after = cache.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 2 * shared, shape
 
 
 def test_max_abs_diff_names_a_missing_shape():

@@ -5,7 +5,10 @@ tableau T by the content c_T(k) = column - row of the cell holding k, so
 f = sum_k a_k X_k has rho_shape(f) = diag(sum_k a_k c_T(k)) and, for real
 a_k, exp(-it pi~(f)) has the element exp(-it sum_k a_k c_T(k)) between
 equal Young labels and 0 between different ones. X_k holds (1 k), whose
-adjacent word runs over the window [1, k - 1].
+adjacent word runs over the window [1, k - 1]. The X_k commute, so for
+real b_kl the products f = sum b_kl X_k X_l are Hermitian too, with
+rho_shape(f) = diag(sum b_kl c_T(k) c_T(l)); their terms (i k)(j l)
+move up to four far-apart points.
 """
 
 import cmath
@@ -38,6 +41,29 @@ def content_sums(shape, a):
                      for t in tableaux(shape)])
 
 
+def jucys_murphy_products(n, pairs, seed):
+    """f = sum b_kl X_k X_l over the pairs k < l, for seeded real b_kl in
+    [-1, 1], and the weights b as {(k, l): b_kl}."""
+    b = dict(zip(pairs, np.random.default_rng(seed).uniform(-1.0, 1.0, len(pairs))))
+    out = {}
+    for (k, l), w in b.items():
+        for i in range(1, k):
+            for j in range(1, l):
+                p = transposition(n, i, k) * transposition(n, j, l)
+                out[p] = out.get(p, 0.0) + w
+    return algebra_element(n, out), b
+
+
+def content_products(shape, b):
+    """sum b_kl c_T(k) c_T(l) for each standard tableau T of the shape."""
+    return np.array([sum(w * t.content(k) * t.content(l) for (k, l), w in b.items())
+                     for t in tableaux(shape)])
+
+
+def all_pairs(n):
+    return [(k, l) for k in range(2, n + 1) for l in range(k + 1, n + 1)]
+
+
 @pytest.mark.parametrize("n", range(5, 9))
 def test_fourier_naive_of_a_jucys_murphy_sum_is_diagonal(n):
     f, a = jucys_murphy_sum(n, 300 + n)
@@ -65,6 +91,34 @@ def test_irrep_matrix_element_of_a_jucys_murphy_sum(shape):
             expect = phases[i] if i == j else 0j
             assert abs(got - expect) <= 1e-12, (i, j)
     assert irrep_matrix_element((shape, 0, 0), (shape, 0, 1), f, t) == 0j
+
+
+def test_fourier_naive_of_jucys_murphy_products_is_diagonal():
+    f, b = jucys_murphy_products(8, all_pairs(8), 800)
+    assert f.is_hermitian() and f.span == 8 and f.locality == 4
+    for shape, block in fourier_naive(f).blocks.items():
+        expect = np.diag(content_products(shape, b))
+        assert np.abs(block - expect).max() <= 1e-12 * f.one_norm, shape
+
+
+@pytest.mark.parametrize("shape, pairs", [
+    (Partition((5, 3)), all_pairs(8)),
+    (Partition((4, 2, 2)), all_pairs(8)),
+    (Partition((7, 5)), [(2, 12), (3, 7), (5, 11), (8, 9), (11, 12)]),
+    (Partition((9, 3)), [(2, 3), (2, 12), (4, 10), (6, 7), (9, 11), (11, 12)]),
+])
+def test_irrep_matrix_element_of_jucys_murphy_products(shape, pairs):
+    # at n = 12, (7,5) has dim 297 and (9,3) dim 154: both sides of the
+    # window-cache rule
+    n, dim, t = shape.n, dimension(shape), 0.7
+    f, b = jucys_murphy_products(n, pairs, 900 + n)
+    assert f.is_hermitian()
+    phases = np.exp(-1j * t * content_products(shape, b))
+    i, j = 0, int(np.random.default_rng(n).integers(1, dim))
+    for u, v in ((i, i), (j, j), (i, j)):
+        got = irrep_matrix_element((shape, u, 1), (shape, v, 1), f, t)
+        expect = phases[u] if u == v else 0j
+        assert abs(got - expect) <= 1e-12, (u, v)
 
 
 def test_swap_and_pauli_routes_agree_on_a_jucys_murphy_sum():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from snsim.errors import SizeMismatchError
+from snsim.group_algebra import algebra_element, random_hermitian_k_local
 from snsim.permutation import enumerate_sn, identity, parse_permutation, transposition
 from snsim.young import Partition, enumerate_partitions, enumerate_standard_tableaux, hook_length_dimension
-from snsim.yor import apply_generator, dimension, yor
+from snsim.yor import _rho_sum, apply_generator, dimension, yor
 
 
 def generator(shape, k):
@@ -97,6 +98,33 @@ def test_apply_generator_matches_dense():
         assert np.allclose(apply_generator(shape, k, mat), expect, atol=1e-14)
     vec = np.arange(1.0, dimension(shape) + 1.0)
     assert np.allclose(apply_generator(shape, 2, vec), yor_entry_oracle(shape, 2) @ vec, atol=1e-14)
+
+
+def test_apply_generator_refuses_a_letter_outside_1_to_n_minus_1():
+    # k = 0 must not wrap to the last generator through a negative index
+    shape = Partition((2, 1))
+    for k in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"no generator s_{k} of S_3"):
+            apply_generator(shape, k, np.eye(2))
+    with pytest.raises(ValueError, match=r"no generator s_1 of S_1"):
+        apply_generator(Partition((1,)), 1, np.eye(1))
+
+
+@pytest.mark.parametrize("shape", [Partition((7, 2)), Partition((5, 3, 1)), Partition((7, 3)),
+                                   Partition((6, 5)), Partition((8, 4)), Partition((9, 4))])
+def test_rho_sum_of_one_shape_is_the_dense_sum_bit_for_bit(shape):
+    # far-span elements, on both sides of the window-cache rule (dim <= 200
+    # shares its window groups, (8,4) and (9,4) keep them to the call):
+    # the walk equals sum c yor(shape, p), added in term order from zero
+    n, dim = shape.n, dimension(shape)
+    rng = np.random.default_rng(n)
+    far = {transposition(n, i, n): complex(*rng.uniform(-1.0, 1.0, 2)) for i in range(1, n)}
+    far[identity(n)] = 0.5 - 0.25j
+    for f in (algebra_element(n, far), random_hermitian_k_local(n, 3, 12, seed=n)):
+        expect = np.zeros((dim, dim), dtype=complex)
+        for p, c in f.terms:
+            expect += c * yor(shape, p)
+        assert _rho_sum((shape,), f.terms).tobytes() == expect.tobytes()
 
 
 def test_character_orthogonality():
