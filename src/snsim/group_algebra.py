@@ -262,15 +262,15 @@ def _shapes(n: int) -> tuple[Partition, ...]:
 
 
 def fourier_naive(f: AlgebraElement, cap: int = DEFAULT_FACTORIAL_CAP) -> FourierCoefficients:
-    """fhat(shape) = sum over support of f(p) rho_shape(p), summed for all
-    shapes at once by `yor._rho_sum`, bit for bit the dense walk. `ops`
-    (`naive_ops` in `snsim fft`) is that walk's model, sum over terms and
-    shapes of (2 |word| + 1) dim^2 (`test_operation_counters`), not the
-    multiplies the grouped walk performs."""
+    """fhat(shape) = sum over support of f(p) rho_shape(p), by `yor._rho_sum`
+    for all shapes at once, bit for bit the dense walk. `ops` (`naive_ops`
+    in `snsim fft`) models that walk, sum over terms and shapes of
+    (2 |word| + 1) dim^2 (`test_operation_counters`), not the grouped one."""
     check_factorial(f.n, cap)
     shapes = _shapes(f.n)
-    acc = _rho_sum(shapes, f.terms)
-    ops = sum(2 * len(adjacent_word(p)) + 1 for p, _ in f.terms) * len(acc)
+    terms = [(adjacent_word(p), c) for p, c in f.terms]
+    acc = _rho_sum(shapes, terms)
+    ops = sum(2 * len(word) + 1 for word, _ in terms) * len(acc)
     blocks, lo = {}, 0
     for s in shapes:
         dim = _yor_dimension(s)

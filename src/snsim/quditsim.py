@@ -535,6 +535,6 @@ def irrep_matrix_element(u, v, f: "AlgebraElement", t: float) -> complex:
         raise ValueError(f"need finite t, got {t}")
     if (lam, wi) != (lam_v, wj):
         return 0j
-    rho = _rho_sum((lam,), f.terms).reshape((dimension(lam),) * 2)
+    rho = _rho_sum((lam,), [(adjacent_word(p), c) for p, c in f.terms]).reshape((dimension(lam),) * 2)
     evals, evecs = np.linalg.eigh(rho)
     return complex(evecs[ti] @ (np.exp(-1j * t * evals) * evecs[tj].conj()))

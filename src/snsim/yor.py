@@ -12,16 +12,15 @@ where r = axial_distance(t, k). When k and k+1 share a row or column
 `apply_generator` exploits: one generator costs 2*dim^2 multiplies.
 
 rho(f) = sum_p c_p rho(p) of a sparse element is summed in one place,
-`_rho_sum`, over a stack of shapes of n at once: every shape for
+`_rho_sum`, over a stack of shapes of n: every shape for
 `group_algebra.fourier_naive`, one for `quditsim.irrep_matrix_element`.
-rho(p) for a word in the letters s_lo..s_hi is zero between tableaux
-that put some point outside lo..hi+1 in different cells, and on one such
-class depends only on the class's generator tables. So each term's word
-is applied, rightmost letter first, to one class of each group of
-classes with identical tables (`_window_groups`) and added to every class
-of the group. Each entry takes `apply_generator`'s float operations and
-the terms are added in order from zero: bit for bit c_p yor(shape, p)
-summed densely.
+rho(p) of a word in s_lo..s_hi is zero between tableaux that put some
+point outside lo..hi+1 in different cells, and on one such class depends
+only on the class's generator tables. So each term's word is applied,
+rightmost letter first, to one class of each group of classes with
+identical tables (`_window_groups`) and added to every class of the
+group, with `apply_generator`'s float operations and the terms in order
+from zero: bit for bit the dense sum of c_p yor(shape, p).
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def _irrep_rows(shapes: tuple[Partition, ...]) -> _IrrepRows:
         block[lo:lo + dim] = flat + dim * local[lo:lo + dim]
         lo, flat = lo + dim, flat + dim * dim
     for table in (diag, offd, partner, block, local):
-        table.setflags(write=False)  # cached: every call shares them
+        table.setflags(write=False)  # a cached stack shares them across calls
     return _IrrepRows(flat, diag, offd, partner, block, local)
 
 
@@ -183,8 +182,8 @@ class _WindowGroups:
     keeps numpy's loops long. Every real entry of every class of the window
     has its flat index in the blocks at `positions`, its group's entry in
     the layout at `sources`. The index tables are int32 while they index
-    below 2^31, which halves them: at n = 8 all 29 windows of every shape
-    hold 2.4 MB."""
+    below 2^31, which halves them. The cache keeps as many windows as S_8
+    has: at n = 8 all 29 of every shape hold 2.4 MB."""
 
     identity: np.ndarray  # (largest class, columns), bool
     diag: np.ndarray  # (letters, columns): rho(s_k)'s row data, k = lo..hi
@@ -194,7 +193,7 @@ class _WindowGroups:
     sources: np.ndarray  # (entries,)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=math.comb(DEFAULT_FACTORIAL_CAP, 2) + 1)
 def _window_groups(stack: _IrrepRows, lo: int, hi: int) -> _WindowGroups:
     order, where, begin, size = _window_rows(stack, lo, hi)
     letters = slice(lo - 1, hi)
@@ -231,29 +230,30 @@ def _window_groups(stack: _IrrepRows, lo: int, hi: int) -> _WindowGroups:
     walk = _WindowGroups(identity, diag[:, places], offd[:, places], mate.astype(index),
                          positions[real].astype(index), sources[real].astype(index))
     for table in vars(walk).values():
-        table.setflags(write=False)  # cached: every call shares them
+        table.setflags(write=False)  # a cached stack shares them across calls
     return walk
 
 
 def _rho_sum(shapes: tuple[Partition, ...], terms) -> np.ndarray:
-    """sum c rho_shape(p) over the (p, c) terms for each shape, the
-    row-major blocks laid end to end. A stack of at most 8! entries (S_n
-    for n <= 8, or one shape of dim <= 200) keeps its window groups in the
-    process-wide cache, any other for this call only."""
-    stack = _irrep_rows(shapes)
+    """sum c rho_shape(p) over the (adjacent_word(p), c) terms per shape,
+    the row-major blocks end to end. Stacks of at most 8! entries (S_n,
+    n <= 8, or one shape of dim <= 200) share tables and window groups
+    across calls; a call holds a window's from its first term to its last."""
+    shared = sum(dimension(s) ** 2 for s in shapes) <= math.factorial(DEFAULT_FACTORIAL_CAP)
+    stack = (_irrep_rows if shared else _irrep_rows.__wrapped__)(shapes)
+    groups = _window_groups if shared else _window_groups.__wrapped__
+    windows = [(min(word), max(word)) if word else (1, 0) for word, _ in terms]
+    last, held = {window: i for i, window in enumerate(windows)}, {}
     acc = np.zeros(stack.entries, dtype=complex)
-    groups = (_window_groups if stack.entries <= math.factorial(DEFAULT_FACTORIAL_CAP)
-              else functools.cache(_window_groups.__wrapped__))
-    for p, c in terms:
-        word = adjacent_word(p)
-        lo, hi = (min(word), max(word)) if word else (1, 0)
-        walk = groups(stack, lo, hi)
+    for i, ((word, c), (lo, hi)) in enumerate(zip(terms, windows)):
+        walk = held.pop((lo, hi), None) or groups(stack, lo, hi)
+        if last[lo, hi] > i:
+            held[lo, hi] = walk
         x = walk.identity
         for k in reversed(word):
             mate = np.take(x, walk.mate[k - lo], axis=1)
             x = walk.diag[k - lo] * x
             x += walk.offd[k - lo] * mate
-        # np.take and np.add.at read int32 tables nearly as fast as intp;
-        # taking before c * leaves one complex copy of the entries, not two
+        # taken before c *, the entries are copied as complex once, not twice
         np.add.at(acc, walk.positions, c * x.take(walk.sources))
     return acc

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -375,27 +376,56 @@ def test_window_groups_differ_in_their_tables(n):
 
 
 def test_window_groups_cache_is_bounded_by_the_default_cap():
-    # a stack of at most 8! entries shares its window groups: all 29
-    # windows of S_8 in 2.4 MB, and one shape of dim <= 200; any other
-    # stack, S_9 through fourier_naive(f, cap=9) or one shape of dim
-    # > 200, keeps its groups to itself
-    cache = yor_module._window_groups
+    # a stack of at most 8! entries shares its tables and window groups:
+    # all 29 windows of S_8 in 2.4 MB, and one shape of dim <= 200; any
+    # other stack, S_9 through fourier_naive(f, cap=9) or one shape of dim
+    # > 200, builds both for the call; the cache keeps at most 29 windows
+    cache, rows = yor_module._window_groups, yor_module._irrep_rows
+    assert cache.cache_info().maxsize == len(windows(8)) == 29
     held = sum(table.nbytes for window in windows(8)
                for table in vars(cache(all_shapes(8), *window)).values())
     assert held == 2_395_027
     f = algebra_element(9, {transposition(9, 1, 2): 0.5, parse_permutation("(2 4 3)", n=9): 0.25j,
                             parse_permutation("(2 3 4)", n=9): -0.25j})
-    cached = cache.cache_info().currsize
+    before, stacks = cache.cache_info(), rows.cache_info()
     assert_blocks_bit_equal(fourier_naive(f, cap=9), dense_walk_fourier(f)[0])
-    assert cache.cache_info().currsize == cached
+    assert (cache.cache_info(), rows.cache_info()) == (before, stacks)
     for shape, shared in ((Partition((7, 3)), True), (Partition((9, 4)), False)):
         assert (dimension(shape) <= 200) == shared
         n = shape.n
         g = algebra_element(n, {transposition(n, 2, n - 1): 0.5, transposition(n, 4, 5): -0.25})
-        before = cache.cache_info()
-        yor_module._rho_sum((shape,), g.terms)
+        before, stacks = cache.cache_info(), rows.cache_info()
+        yor_module._rho_sum((shape,), [(adjacent_word(p), c) for p, c in g.terms])
         after = cache.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 2 * shared, shape
+        lookups = rows.cache_info().hits + rows.cache_info().misses
+        assert lookups == stacks.hits + stacks.misses + shared, shape
+    assert cache.cache_info().currsize == 29
+
+
+def test_rho_sum_past_the_cap_drops_each_window_after_its_last_term(monkeypatch):
+    # windows (2,2), (4,4), (2,2), (6,6), (7,7) on a shape of dim > 200:
+    # each is built once, and when a window is built only the groups of
+    # windows still to come, and the previous term's, are alive
+    build, built = yor_module._window_groups.__wrapped__, []
+
+    def counting(stack, lo, hi):
+        alive = [window for window, ref in built if ref() is not None]
+        walk = build(stack, lo, hi)
+        built.append(((lo, hi), weakref.ref(walk)))
+        seen.append(((lo, hi), alive))
+        return walk
+
+    seen = []
+    monkeypatch.setattr(yor_module._window_groups, "__wrapped__", counting)
+    shape = Partition((6, 3, 1))
+    terms = [([2], 0.5), ([4], 0.25), ([2], -1.0), ([6], 1.0), ([7], 2.0)]
+    acc = yor_module._rho_sum((shape,), terms)
+    assert seen == [((2, 2), []), ((4, 4), [(2, 2)]), ((6, 6), [(2, 2)]), ((7, 7), [(6, 6)])]
+    expect = np.zeros((dimension(shape),) * 2, dtype=complex)
+    for word, c in terms:
+        expect += c * _word_matrix(shape, word)
+    assert acc.tobytes() == expect.tobytes()
 
 
 def test_max_abs_diff_names_a_missing_shape():

@@ -9,7 +9,7 @@ import pytest
 
 from snsim.errors import SizeMismatchError
 from snsim.group_algebra import algebra_element, random_hermitian_k_local
-from snsim.permutation import enumerate_sn, identity, parse_permutation, transposition
+from snsim.permutation import adjacent_word, enumerate_sn, identity, parse_permutation, transposition
 from snsim.young import Partition, enumerate_partitions, enumerate_standard_tableaux, hook_length_dimension
 from snsim.yor import _rho_sum, apply_generator, dimension, yor
 
@@ -124,7 +124,8 @@ def test_rho_sum_of_one_shape_is_the_dense_sum_bit_for_bit(shape):
         expect = np.zeros((dim, dim), dtype=complex)
         for p, c in f.terms:
             expect += c * yor(shape, p)
-        assert _rho_sum((shape,), f.terms).tobytes() == expect.tobytes()
+        terms = [(adjacent_word(p), c) for p, c in f.terms]
+        assert _rho_sum((shape,), terms).tobytes() == expect.tobytes()
 
 
 def test_character_orthogonality():
