@@ -325,7 +325,7 @@ def _bench_element(n: int, k: int) -> AlgebraElement:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)[:.]{1,2}(\d+)", text.strip())
+    m = re.fullmatch(r"(\d+)(?::|\.\.)(\d+)", text.strip())
     if not m:
         raise ValueError(f"bad range {text!r}, expected like 4:7")
     lo, hi = int(m.group(1)), int(m.group(2))

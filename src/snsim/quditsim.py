@@ -19,11 +19,11 @@ recurrence, so the S_n action on the result has exactly the matrix
 elements of `yor`. It runs once per block on the stacked weight copies,
 one exchange of two tensor axes per edge of a breadth-first tree over
 the tableau exchange edges of `yor.generator_tables`, and every vector
-keeps the weight its copy was built at. `young_basis` builds every block in full.
-`young_vectors` builds a few labelled members by the same steps: one
-block per distinct shape, its copies only up to the highest weight index
-asked for, and its tableau vectors only along the tree paths to the
-tableaux asked for; each equals its `young_basis` member bit for bit.
+keeps the weight its copy was built at. Both builders run one path:
+per distinct shape, one block with its copies only up to the highest
+weight index asked for and its tableau vectors only along the tree paths
+to the tableaux asked for. `young_basis` asks for every index, and each
+`young_vectors` member equals its `young_basis` member bit for bit.
 
 Two oracles give <u| exp(-it pi~(f)) |v>. `exact_matrix_element` takes
 any two statevectors. A permutation keeps each digit's count, so pi~(f)
@@ -263,18 +263,16 @@ def _top_weight_vector(lam: Partition, t0: StandardTableau, d: int, n: int) -> n
 
 
 def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int,
-                 last: int | None = None) -> list[tuple[tuple, np.ndarray]]:
-    """The weight copies of the block as (weight, vector) pairs, top
-    weight first, lex-descending: all of them, or those up to index
-    `last`.
+                 last: int) -> list[tuple[tuple, np.ndarray]]:
+    """The weight copies of the block up to index `last` as (weight,
+    vector) pairs, top weight first, lex-descending.
 
     Copies are built in that order, and a copy at weight mu is lowered
     only from weights above mu, so the build stops once copy `last`
-    exists and every copy up to it is the one a full build makes. Every
-    lower weight space is spanned by single lowering steps from
+    exists and every copy up to it is the one a longer build makes.
+    Every lower weight space is spanned by single lowering steps from
     already-built weights; double Gram-Schmidt in a fixed candidate
-    order makes the outcome deterministic. A full build is checked
-    against the Weyl dimension.
+    order makes the outcome deterministic. `_block` checks the count.
     """
     top = tuple(lam.padded(d))
     ordered = [(top, v_top)]
@@ -290,7 +288,7 @@ def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int,
             nu[a - 1] += 1
             nu[a] -= 1
             for source in by_weight.get(tuple(nu), ()):
-                if last is not None and len(ordered) > last:
+                if len(ordered) > last:
                     return ordered
                 cand = _lower(source, d, n, a)
                 for _ in range(2):
@@ -302,11 +300,6 @@ def _su_d_copies(lam: Partition, v_top: np.ndarray, d: int, n: int,
                     ordered.append((mu, kept[-1]))
         if kept:
             by_weight[mu] = kept
-    expected = weyl_dimension(lam, d) if last is None else last + 1
-    if len(ordered) != expected:
-        raise RuntimeError(
-            f"block {lam}: built {len(ordered)} copies, expected {expected}"
-        )
     return ordered
 
 
@@ -382,19 +375,25 @@ def check_young_label(n: int, d: int, shape: Partition, tableau_index: int,
         )
 
 
-def _block(lam: Partition, d: int, n: int, copies: list[int] | None = None,
-           targets: list[int] | None = None) -> tuple[tuple, dict[int, np.ndarray]]:
-    """The weights of block lam's copies built, and per target tableau
-    the stack of its vectors for the copy indices `copies`, in that
-    order; None asks for every copy or every tableau. Copies are built
-    only up to the highest index asked for; a row's values do not depend
-    on which other rows are transported with it."""
+def _block(lam: Partition, d: int, n: int, pairs) -> list[YoungBasisVector]:
+    """The members of block lam with these distinct (tableau index,
+    weight index) pairs, in their order.
+    Copies are built only up to the highest weight index asked for, and
+    tableau vectors only along the transport paths to the tableaux asked
+    for; a row's values do not depend on which other rows are built. The
+    lowest weight comes last and occurs once, so copy W - 1 (W the Weyl
+    dimension) sits there and no other copy does."""
+    copies = sorted({wi for _, wi in pairs})
     v_top = _top_weight_vector(lam, _tableaux(lam)[0], d, n)
-    weights, seeds = zip(*_su_d_copies(lam, v_top, d, n, None if copies is None else max(copies)))
-    stack = np.stack(seeds if copies is None else [seeds[wi] for wi in copies])
-    if targets is None:
-        targets = range(dimension(lam))
-    return weights, _transport(lam, stack, d, targets)
+    weights, seeds = zip(*_su_d_copies(lam, v_top, d, n, copies[-1]))
+    w, lowest = weyl_dimension(lam, d), tuple(reversed(lam.padded(d)))
+    if len(weights) != copies[-1] + 1 or (weights[-1] == lowest) != (len(weights) == w):
+        raise RuntimeError(f"block {lam}: {len(weights)} copies built, ending at weight "
+                           f"{weights[-1]}; {copies[-1] + 1} of {w} asked for")
+    stacks = _transport(lam, np.stack([seeds[wi] for wi in copies]), d,
+                        sorted({ti for ti, _ in pairs}))
+    row = {wi: r for r, wi in enumerate(copies)}
+    return [_member(lam, ti, wi, weights[wi], stacks[ti][row[wi]], d, n) for ti, wi in pairs]
 
 
 def _member(lam: Partition, ti: int, wi: int, weight: tuple, vec: np.ndarray,
@@ -420,10 +419,8 @@ def young_basis(n: int, d: int, cap: int = DEFAULT_DENSE_CAP) -> tuple[YoungBasi
     check_young_size(n, d, cap)
     out: list[YoungBasisVector] = []
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
-        weights, stacks = _block(lam, d, n)
-        for ti, stack in stacks.items():
-            for wi, (mu, vec) in enumerate(zip(weights, stack)):
-                out.append(_member(lam, ti, wi, mu, vec, d, n))
+        out += _block(lam, d, n, [(ti, wi) for ti in range(dimension(lam))
+                                  for wi in range(weyl_dimension(lam, d))])
     if len(out) != d**n:
         raise RuntimeError(f"basis has {len(out)} vectors, expected {d**n}")
     return tuple(out)
@@ -436,10 +433,10 @@ def young_vectors(n: int, d: int, labels,
     member bit for bit.
 
     Every label is checked before anything is allocated. One block is
-    built per distinct shape; a block's weight copies stop at the highest
-    weight index asked of it, and its tableau vectors are built only
-    along the transport paths to the tableaux asked for. Nothing is kept
-    between calls.
+    built per distinct shape, by the steps `young_basis` takes: its
+    weight copies stop at the highest weight index asked of it, and its
+    tableau vectors are built only along the transport paths to the
+    tableaux asked for. Nothing is kept between calls.
     """
     labels = [tuple(label) for label in labels]
     check_young_size(n, d, cap)
@@ -448,12 +445,8 @@ def young_vectors(n: int, d: int, labels,
     unique = list(dict.fromkeys(labels))
     members: dict[tuple, YoungBasisVector] = {}
     for lam in dict.fromkeys(shape for shape, _, _ in unique):
-        mine = [(ti, wi) for shape, ti, wi in unique if shape == lam]
-        copies = sorted({wi for _, wi in mine})
-        weights, stacks = _block(lam, d, n, copies, sorted({ti for ti, _ in mine}))
-        for ti, wi in mine:
-            row = stacks[ti][copies.index(wi)]
-            members[(lam, ti, wi)] = _member(lam, ti, wi, weights[wi], row, d, n)
+        mine = [label for label in unique if label[0] == lam]
+        members.update(zip(mine, _block(lam, d, n, [(ti, wi) for _, ti, wi in mine])))
     return tuple(members[label] for label in labels)
 
 

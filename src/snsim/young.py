@@ -61,9 +61,11 @@ class Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "3+2+1" or the long form "6=3+2+1"."""
+    """Parse "3+2+1" or the long form "6=3+2+1"; a text with no parts fails."""
     body = text.split("=", 1)[-1].strip()
     parts = tuple(int(tok) for tok in re.split(r"[+,\s]+", body) if tok)
+    if not parts:
+        raise ValueError(f"no parts in partition {text!r}")
     p = Partition(parts)
     if "=" in text:
         declared = int(text.split("=", 1)[0])

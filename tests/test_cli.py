@@ -436,6 +436,10 @@ def test_transforms_over_s0_are_usage_errors(tmp_path, capsys):
     # --n is checked before the table file is opened, so a missing file is not reached
     (["fft", "--table", "missing.json"], "--table needs --n"),
     (["fft", "--table", "t.json", "--n", "3"], "table has 3 entries, expected 3!"),
+    # only lo:hi and lo..hi are ranges
+    *((["bench", "--n-range", text], f"bad range {text!r}, expected like 4:7")
+      for text in ("4.5", "4:.5", "4::5")),
+    (["irrep", "--lambda", "", "--perm", "e"], "no parts in partition ''"),
 ])
 def test_usage_errors_name_their_fault(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -444,6 +448,10 @@ def test_usage_errors_name_their_fault(argv, message, tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_ranges_read_lo_colon_hi_or_lo_dot_dot_hi():
+    assert cli._parse_range("4:5") == cli._parse_range(" 4..5 ") == (4, 5)
 
 
 MALFORMED_TABLES = {"one-entry-rows": "[[1], [2]]", "objects": '[{"a": 1}, {"a": 2}]',

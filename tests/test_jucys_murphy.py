@@ -20,9 +20,9 @@ from snsim.group_algebra import algebra_element, fourier_naive
 from snsim.lcu import matrix_element
 from snsim.pauli_expand import matrix_element_pauli
 from snsim.permutation import transposition
-from snsim.quditsim import irrep_matrix_element, young_vectors
+from snsim.quditsim import exact_matrix_element, irrep_matrix_element, young_vectors
 from snsim.yor import dimension, tableaux
-from snsim.young import Partition, enumerate_partitions
+from snsim.young import Partition, enumerate_partitions, weyl_dimension
 
 
 def jucys_murphy_sum(n, seed):
@@ -130,3 +130,44 @@ def test_swap_and_pauli_routes_agree_on_a_jucys_murphy_sum():
     assert abs(swap - pauli) <= eps
     closed = cmath.exp(-1j * t * content_sums(shape, a)[4])
     assert abs(swap - closed) <= eps and abs(pauli - closed) <= eps
+
+
+def young_pairs(shape, d, seed):
+    """Tableau indices i and j != i of the shape, and per weight index w
+    the young_vectors members (shape, i, w) and (shape, j, w)."""
+    i, j = 0, int(np.random.default_rng(seed).integers(1, dimension(shape)))
+    labels = [(shape, ti, w) for w in range(weyl_dimension(shape, d)) for ti in (i, j)]
+    vecs = young_vectors(shape.n, d, labels)
+    return i, j, list(zip(vecs[::2], vecs[1::2]))
+
+
+@pytest.mark.parametrize("shape, d", [(Partition((2, 1, 1)), 3), (Partition((2, 1, 1)), 4),
+                                      (Partition((3, 2, 1)), 3), (Partition((3, 2, 1)), 4),
+                                      (Partition((4, 2, 1)), 3)])
+def test_d_n_routes_of_a_jucys_murphy_sum_at_every_weight(shape, d):
+    # by Schur-Weyl duality the answer is the same at every weight index,
+    # so each weight copy of the builder is checked against one closed form
+    n, t, eps = shape.n, 0.7, 1e-6
+    f, a = jucys_murphy_sum(n, 600 + n)
+    phases = np.exp(-1j * t * content_sums(shape, a))
+    i, j, pairs = young_pairs(shape, d, n * d)
+    for w, (u, v) in enumerate(pairs):
+        assert abs(exact_matrix_element(u, u, f, t) - phases[i]) <= 1e-12, w
+        assert abs(exact_matrix_element(u, v, f, t)) <= 1e-12, w
+    for u, v in (pairs[0], pairs[-1]):
+        assert abs(matrix_element(u, u, f, t, eps)[0] - phases[i]) <= eps
+        assert abs(matrix_element(v, v, f, t, eps)[0] - phases[j]) <= eps
+        assert abs(matrix_element(u, v, f, t, eps)[0]) <= eps
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_explicit_circuit_on_a_jucys_murphy_sum(d):
+    # at n = 4 and eps 1e-3 the segment has 960,800 Taylor products,
+    # past the term cap, so the explicit path runs at n = 3
+    shape, t, eps = Partition((2, 1)), 0.7, 1e-4
+    f, a = jucys_murphy_sum(3, 603)
+    phases = np.exp(-1j * t * content_sums(shape, a))
+    i, j, pairs = young_pairs(shape, d, d)
+    for w, (u, v) in enumerate(pairs):
+        assert abs(matrix_element(u, u, f, t, eps, explicit=True)[0] - phases[i]) <= eps, w
+        assert abs(matrix_element(u, v, f, t, eps, explicit=True)[0]) <= eps, w

@@ -356,8 +356,9 @@ def reference_young_basis(n, d):
     out = []
     for lam in enumerate_partitions(n, max_rows=min(n, d)):
         v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n)
+        last = weyl_dimension(lam, d) - 1
         per_copy = [reference_transport(lam, vec, trans_maps)
-                    for _, vec in quditsim._su_d_copies(lam, v_top, d, n)]
+                    for _, vec in quditsim._su_d_copies(lam, v_top, d, n, last)]
         for ti in range(len(tableaux(lam))):
             for wi, copy_vecs in enumerate(per_copy):
                 vec = copy_vecs[ti]
@@ -544,7 +545,8 @@ def test_transport_gathers_once_per_edge_on_the_requested_paths(n, d, parts, mon
     lam = Partition(parts)
     dim = len(tableaux(lam))
     v_top = quditsim._top_weight_vector(lam, tableaux(lam)[0], d, n)
-    seeds = np.stack([vec for _, vec in quditsim._su_d_copies(lam, v_top, d, n)])
+    last = weyl_dimension(lam, d) - 1
+    seeds = np.stack([vec for _, vec in quditsim._su_d_copies(lam, v_top, d, n, last)])
     full = quditsim._transport(lam, seeds, d, range(dim))
     assert list(full) == list(range(dim))
     depth = transport_depths(lam)
@@ -619,6 +621,25 @@ def test_lowering_stops_at_the_highest_requested_copy(n, d, parts, monkeypatch):
         for labels in ([(lam, 0, wi)], [(lam, 1, wi), (lam, 0, wi // 2)]):
             assert lowering_log(
                 monkeypatch, lambda: quditsim.young_vectors(n, d, labels)) == full[:upto + 1]
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (3, 4)])
+def test_a_spurious_or_missing_copy_is_refused(n, d, monkeypatch):
+    copies = quditsim._su_d_copies
+    top = Partition((n,))
+    # a second copy at copy 1's weight, as a lowering that failed to
+    # cancel would make, pushes the lowest-weight copy out; then copy 1 goes
+    for edit in (lambda built: built[:2] + built[1:], lambda built: built[:1] + built[2:]):
+        monkeypatch.setattr(quditsim, "_su_d_copies",
+                            lambda *args: edit(copies(*args))[:args[-1] + 1])
+        young_basis.cache_clear()
+        with pytest.raises(RuntimeError, match="copies built"):
+            young_basis(n, d)
+        with pytest.raises(RuntimeError, match="copies built"):
+            young_vectors(n, d, [(top, 0, weyl_dimension(top, d) - 1)])
+    monkeypatch.undo()
+    young_basis.cache_clear()
+    assert len(young_basis(n, d)) == d**n
 
 
 def site_loop_index_map(p, d):

@@ -186,6 +186,10 @@ def test_parse_partition():
         parse_partition("5=3+1")
     with pytest.raises(ValueError):
         parse_partition("1+2")
+    # a text with no parts names no shape
+    for text in ("", " ", "0=", "+"):
+        with pytest.raises(ValueError, match="no parts"):
+            parse_partition(text)
 
 
 def test_schur_weyl_sums():
